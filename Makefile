@@ -9,7 +9,7 @@ BENCHCOUNT ?= 6
 OBSCOUNT ?= 5
 OBSMAX ?= 2
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench
+.PHONY: all build test check vet race fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench perfbench
 
 all: build
 
@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzStructuralEdits -fuzztime=$(FUZZTIME) ./internal/incr/
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/spef/
 	$(GO) test -run=NONE -fuzz=FuzzStream -fuzztime=$(FUZZTIME) ./internal/spef/
+	$(GO) test -run=NONE -fuzz=FuzzNetTree -fuzztime=$(FUZZTIME) ./internal/spef/
 	$(GO) test -run=NONE -fuzz=FuzzFormatRoundTrip -fuzztime=$(FUZZTIME) ./internal/unit/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/eedsrv/
 	$(GO) test -run=NONE -fuzz=FuzzParseFaultSpec -fuzztime=$(FUZZTIME) ./internal/faultinj/
@@ -132,3 +133,11 @@ chip-bench:
 		-seed 1 -topk 10 -verify -out BENCH_PR8 \
 		-assert-rss-mb $(CHIPRSSMB) -assert-nps $(CHIPNPS)
 	@echo "wrote BENCH_PR8.json and BENCH_PR8.txt"
+
+# perfbench: run one workload of the repository benchmark (BENCHMARK.json)
+# and print its metrics. perfbench/ is a module of its own, so the root
+# `go test ./...` does not reach its tests; CI runs them separately.
+WORKLOAD ?= chip
+SEED ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED)

@@ -466,4 +466,18 @@ func BenchmarkClosedForms(b *testing.B) {
 			}
 		}
 	})
+	// ζ ≥ 1 settling time bisects on the monotone step response; about a
+	// third of the nodes of a synthetic chip are overdamped, which made
+	// this the dominant closed-form cost of a full sweep.
+	over, err := core.FromZetaOmega(2, 1e10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("settlingTimeOverdamped", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := over.SettlingTime(0.1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -14,7 +14,10 @@
 // core.AnalyzeTreeCtx → timing.SummarizeNet, the exact functions the
 // spef.Parse batch path calls (Parse is a drained Stream; the grammars
 // are one) — and compares per-net results bit-for-bit via a running
-// hash over math.Float64bits, so verification memory is flat too.
+// hash over math.Float64bits, so verification memory is flat too. The
+// twin runs the full closed-form analysis while the pipeline runs the
+// delay-only core.AnalyzeTreeDelays, so a match also proves the two
+// sweeps agree on every value the report reads.
 //
 // Usage:
 //

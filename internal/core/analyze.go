@@ -63,6 +63,23 @@ const analyzeCheckEvery = 256
 // guard.ErrCanceled-classed error. Per-node model failures carry the
 // guard taxonomy with the offending node's name.
 func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
+	return analyzeTree(ctx, t, true)
+}
+
+// AnalyzeTreeDelays is AnalyzeTreeCtx for consumers that read only the
+// delays: it fills Section, Model, Delay50, ElmoreDelay50, ElmoreRiseTime
+// and the Degraded fields, bit-identical to AnalyzeTreeCtx, and leaves
+// RiseTime, Overshoot and SettlingTime zero. It skips the closed forms a
+// delay report never reads — chiefly SettlingTime, which bisects on
+// overdamped nodes. Errors, cancellation, spans and metrics are those of
+// AnalyzeTreeCtx.
+func AnalyzeTreeDelays(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
+	return analyzeTree(ctx, t, false)
+}
+
+// analyzeTree is the one serial sweep behind AnalyzeTreeCtx (full) and
+// AnalyzeTreeDelays (!full): the O(n) sums, then the per-node kernel.
+func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool) ([]NodeAnalysis, error) {
 	n := t.Len()
 	if n == 0 {
 		return nil, guard.Newf(guard.ErrTopology, "core", "empty tree")
@@ -99,7 +116,7 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 				return nil, err
 			}
 		}
-		na, err := AnalyzeNodeSums(sums, s)
+		na, err := analyzeNode(sums.SR[i], sums.SL[i], s, full)
 		if err != nil {
 			sweepSpan.EndWith(guard.ClassName(err))
 			return nil, err
@@ -144,6 +161,12 @@ func AnalyzeNodeSums(sums rlctree.Sums, s *rlctree.Section) (NodeAnalysis, error
 // internal/incr; AnalyzeNodeSums is the same kernel indexed into a
 // whole-tree sums slice.
 func AnalyzeNodeFromSums(sr, sl float64, s *rlctree.Section) (NodeAnalysis, error) {
+	return analyzeNode(sr, sl, s, true)
+}
+
+// analyzeNode is the per-node kernel: the model and the delays always,
+// and with full the rise time, overshoot and settling time too.
+func analyzeNode(sr, sl float64, s *rlctree.Section, full bool) (NodeAnalysis, error) {
 	m, err := FromSums(sr, sl)
 	if err != nil {
 		if ge := new(guard.Error); errors.As(err, &ge) {
@@ -155,14 +178,17 @@ func AnalyzeNodeFromSums(sr, sl float64, s *rlctree.Section) (NodeAnalysis, erro
 		Section:        s,
 		Model:          m,
 		Delay50:        m.Delay50(),
-		RiseTime:       m.RiseTime(),
-		Overshoot:      m.Overshoot(1),
 		ElmoreDelay50:  m.ElmoreDelay50(),
 		ElmoreRiseTime: m.ElmoreRiseTime(),
 		Degraded:       m.Degraded(),
 		DegradedReason: m.DegradedReason(),
 		DegradedClass:  m.DegradedClass(),
 	}
+	if !full {
+		return na, nil
+	}
+	na.RiseTime = m.RiseTime()
+	na.Overshoot = m.Overshoot(1)
 	if ts, err := m.SettlingTime(SettlingBand); err == nil {
 		na.SettlingTime = ts
 	} else {

@@ -32,8 +32,13 @@ import (
 //
 //	spef.Parse → Net.Tree → core.AnalyzeTreeCtx → timing.SummarizeNet
 //
-// because both paths run those same functions on the same values; the
-// pipeline adds concurrency between nets, never inside one net's math.
+// The pipeline runs core.AnalyzeTreeDelays, the delay-only form of the
+// same sweep: it fills every field SummarizeNet reads bit-identically to
+// the full analysis and skips the closed forms the chip report never
+// reads (rise time, overshoot, settling time). The twin (chipflow
+// -verify) keeps the full AnalyzeTreeCtx, so its hash proves the
+// delay-only sweep agrees with full analysis. The pipeline adds
+// concurrency between nets, never inside one net's math.
 
 // PipelineConfig configures RunPipeline. The zero value is usable: one
 // worker per CPU, a queue depth of twice the workers, default limits,
@@ -279,7 +284,7 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 	return agg.Report(), stats, err
 }
 
-// analyzeOne runs one net through tree build → closed-form sweep →
+// analyzeOne runs one net through tree build → delay-only sweep →
 // summary, recycling the net on every path (the net must not be touched
 // after this call).
 func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
@@ -293,7 +298,7 @@ func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
 		if err != nil {
 			return err
 		}
-		nodes, err := core.AnalyzeTreeCtx(ctx, tree)
+		nodes, err := core.AnalyzeTreeDelays(ctx, tree)
 		if err != nil {
 			return err
 		}

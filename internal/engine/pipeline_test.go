@@ -200,6 +200,9 @@ func TestPipelineFailureIsolation(t *testing.T) {
 	if total != wantBad {
 		t.Fatalf("FailedByClass sums to %d, want %d: %v", total, wantBad, stats.FailedByClass)
 	}
+	if stats.FailedByClass["topology"] != wantBad {
+		t.Fatalf("FailedByClass = %v, want every failure classed topology", stats.FailedByClass)
+	}
 	if report.Nets != nets-wantBad {
 		t.Fatalf("report folded %d nets, want %d", report.Nets, nets-wantBad)
 	}

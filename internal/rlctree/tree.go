@@ -13,6 +13,7 @@
 package rlctree
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -143,21 +144,16 @@ func New() *Tree {
 // (used, e.g., to express general branching with a binary factor).
 func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Section, error) {
 	if name == "" {
-		return nil, fmt.Errorf("rlctree: section name must be non-empty")
+		return nil, errEmptyName
 	}
 	if _, dup := t.byName[name]; dup {
-		return nil, fmt.Errorf("rlctree: duplicate section name %q", name)
+		return nil, errDuplicateName(name)
 	}
 	if parent != nil && parent.tree != t {
 		return nil, fmt.Errorf("rlctree: parent section %q belongs to a different tree", parent.name)
 	}
-	for _, v := range [...]struct {
-		label string
-		val   float64
-	}{{"R", r}, {"L", l}, {"C", c}} {
-		if math.IsNaN(v.val) || math.IsInf(v.val, 0) || v.val < 0 {
-			return nil, fmt.Errorf("rlctree: section %q has invalid %s = %g", name, v.label, v.val)
-		}
+	if err := checkValues(name, r, l, c); err != nil {
+		return nil, err
 	}
 	s := &Section{name: name, index: len(t.sections), parent: parent, tree: t}
 	pi := int32(-1)
@@ -178,6 +174,97 @@ func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Secti
 		Parent: pi, R: r, L: l, C: c,
 	})
 	return s, nil
+}
+
+var errEmptyName = errors.New("rlctree: section name must be non-empty")
+
+func errDuplicateName(name string) error {
+	return fmt.Errorf("rlctree: duplicate section name %q", name)
+}
+
+// checkValues rejects element values that are negative, NaN or infinite.
+func checkValues(name string, r, l, c float64) error {
+	for _, v := range [...]struct {
+		label string
+		val   float64
+	}{{"R", r}, {"L", l}, {"C", c}} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) || v.val < 0 {
+			return fmt.Errorf("rlctree: section %q has invalid %s = %g", name, v.label, v.val)
+		}
+	}
+	return nil
+}
+
+// FromArrays builds a tree in one pass from flat arrays indexed by section:
+// names, parent indices (-1 attaches a section to the input node) and
+// element values. Every parent must precede its children, so ascending
+// index order is the topological order AddSection would have produced.
+// Sections are validated in index order exactly as AddSection validates
+// them, and the first failure is returned with AddSection's message.
+//
+// The result has the same indices, names, values and Fingerprint as the
+// equivalent AddSection sequence, but no history: a freshly built tree has
+// nothing to replay, so it starts at generation 0 with an empty journal.
+// The arrays are copied; the caller may reuse them.
+func FromArrays(names []string, parent []int32, r, l, c []float64) (*Tree, error) {
+	n := len(names)
+	if len(parent) != n || len(r) != n || len(l) != n || len(c) != n {
+		return nil, fmt.Errorf("rlctree: FromArrays lengths differ: %d names, %d parents, %d/%d/%d R/L/C",
+			n, len(parent), len(r), len(l), len(c))
+	}
+	t := &Tree{
+		sections: make([]*Section, n),
+		byName:   make(map[string]*Section, n),
+	}
+	block := make([]Section, n) // every Section in one allocation
+	nChildren := make([]int32, n)
+	nonRoots := 0
+	for i, name := range names {
+		if name == "" {
+			return nil, errEmptyName
+		}
+		// One map operation per section: a duplicate shows as a map that
+		// did not grow.
+		s := &block[i]
+		if t.byName[name] = s; len(t.byName) != i+1 {
+			return nil, errDuplicateName(name)
+		}
+		p := parent[i]
+		if p < -1 || int(p) >= i {
+			return nil, fmt.Errorf("rlctree: section %q has parent index %d; parents must precede their children", name, p)
+		}
+		if err := checkValues(name, r[i], l[i], c[i]); err != nil {
+			return nil, err
+		}
+		s.name, s.index, s.tree = name, i, t
+		if p >= 0 {
+			s.parent = &block[p]
+			nChildren[p]++
+			nonRoots++
+		}
+		t.sections[i] = s
+	}
+	// The children lists are carved from one backing array. Each has its
+	// capacity clipped to its length, so a later append (AttachLeaf,
+	// SplitSection) reallocates instead of overwriting a sibling's list.
+	kids := make([]*Section, nonRoots)
+	off := 0
+	for i := range block {
+		if k := int(nChildren[i]); k > 0 {
+			block[i].children = kids[off : off : off+k]
+			off += k
+		}
+		if p := block[i].parent; p != nil {
+			p.children = append(p.children, &block[i])
+		}
+	}
+	vals := make([]float64, 3*n)
+	t.r, t.l, t.c = vals[:n:n], vals[n:2*n:2*n], vals[2*n:]
+	copy(t.r, r)
+	copy(t.l, l)
+	copy(t.c, c)
+	t.parentIdx = append([]int32(nil), parent...)
+	return t, nil
 }
 
 // MustAddSection is AddSection that panics on error, for use in builders

@@ -1,11 +1,13 @@
 package spef
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"eedtree/internal/core"
+	"eedtree/internal/guard"
 )
 
 const sample = `// extracted by testgen
@@ -189,58 +191,38 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestTreeErrors: every tree-build fault in treeFaults is a classified
+// guard.ErrTopology error carrying the net name and the message text, and
+// a net with several faults reports the same, first one on every call.
 func TestTreeErrors(t *testing.T) {
 	units := DefaultUnits
-	mk := func(body string) *Net {
-		f, err := ParseString("*D_NET n 1\n" + body + "*END\n")
-		if err != nil {
-			t.Fatalf("setup parse: %v", err)
+	for _, c := range treeFaults {
+		net := mkNet(t, c.body)
+		var first string
+		for call := 0; call < 20; call++ {
+			_, err := net.Tree(units)
+			if err == nil {
+				t.Fatalf("%s: Tree succeeded", c.name)
+			}
+			if !errors.Is(err, guard.ErrTopology) {
+				t.Fatalf("%s: class %q, want topology: %v", c.name, guard.ClassName(err), err)
+			}
+			if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), `"n"`) {
+				t.Fatalf("%s: error %q does not say %q", c.name, err, c.want)
+			}
+			if call == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Fatalf("%s: call %d reported %q, call 0 %q", c.name, call, err, first)
+			}
 		}
-		return f.Nets[0]
-	}
-	// No driver.
-	if _, err := mk("*CONN\n*I a I\n*RES\n1 a b 1\n").Tree(units); err == nil {
-		t.Error("no driver must fail")
-	}
-	// Two drivers.
-	if _, err := mk("*CONN\n*I a O\n*I b O\n*RES\n1 a b 1\n").Tree(units); err == nil {
-		t.Error("two drivers must fail")
-	}
-	// Bidirectional pins are an acceptable driver fallback, but a net with
-	// no parasitics must still fail.
-	if _, err := mk("*CONN\n*I a B\n").Tree(units); err == nil {
-		t.Error("empty parasitics must fail")
-	}
-	// Loop.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n2 b c 1\n3 c a 1\n").Tree(units); err == nil {
-		t.Error("resistive loop must fail")
-	}
-	// Parallel resistors.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n2 a b 2\n").Tree(units); err == nil {
-		t.Error("parallel resistors must fail")
-	}
-	// Disconnected resistive island.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n2 c d 1\n").Tree(units); err == nil {
-		t.Error("disconnected island must fail")
-	}
-	// Floating capacitance.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n*CAP\n1 z 0.5\n").Tree(units); err == nil {
-		t.Error("floating cap must fail")
-	}
-	// Self-loop resistor.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a a 1\n").Tree(units); err == nil {
-		t.Error("self-loop must fail")
-	}
-	// INDUC without matching RES.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n*INDUC\n1 a c 1\n").Tree(units); err == nil {
-		t.Error("unmatched INDUC must fail")
 	}
 	// Invalid units.
-	if _, err := mk("*CONN\n*I a O\n*RES\n1 a b 1\n").Tree(Units{}); err == nil {
+	if _, err := mkNet(t, "*CONN\n*I a O\n*RES\n1 a b 1\n").Tree(Units{}); err == nil {
 		t.Error("invalid units must fail")
 	}
 	// Driver-node capacitance is preserved through an ideal junction.
-	net := mk("*CONN\n*I a O\n*RES\n1 a b 1\n*CAP\n1 a 0.5\n2 b 0.5\n")
+	net := mkNet(t, "*CONN\n*I a O\n*RES\n1 a b 1\n*CAP\n1 a 0.5\n2 b 0.5\n")
 	tree, err := net.Tree(units)
 	if err != nil {
 		t.Fatal(err)
