@@ -9,7 +9,7 @@ BENCHCOUNT ?= 6
 OBSCOUNT ?= 5
 OBSMAX ?= 2
 
-.PHONY: all build test check vet race fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench perfbench
+.PHONY: all build test check vet race fuzz-smoke bench bench-json bench-save service-bench obs-check fault-check chaos-soak chip-bench perfbench loc
 
 all: build
 
@@ -133,6 +133,15 @@ chip-bench:
 		-seed 1 -topk 10 -verify -out BENCH_PR8 \
 		-assert-rss-mb $(CHIPRSSMB) -assert-nps $(CHIPNPS)
 	@echo "wrote BENCH_PR8.json and BENCH_PR8.txt"
+
+# loc: count Go lines, production (non-test) and _test.go separately,
+# outside the benchmark module (perfbench/) and its build directory
+# (.bench_build/) — the line count the "fewer production lines" aim is
+# measured by.
+LOCFIND = find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*'
+loc:
+	@printf 'production %s\n' "$$($(LOCFIND) -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test %s\n' "$$($(LOCFIND) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 # perfbench: run one workload of the repository benchmark (BENCHMARK.json)
 # and print its metrics. perfbench/ is a module of its own, so the root

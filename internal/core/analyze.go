@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"time"
 
 	"eedtree/internal/guard"
@@ -52,18 +53,24 @@ func AnalyzeTree(t *rlctree.Tree) ([]NodeAnalysis, error) {
 	return AnalyzeTreeCtx(context.Background(), t)
 }
 
-// analyzeCheckEvery is how many nodes AnalyzeTreeCtx processes between
-// context checks; per-node work is a handful of closed-form evaluations,
-// so this keeps cancellation latency far below a millisecond without
-// paying a channel poll on every node.
+// analyzeCheckEvery is how many nodes a sweep processes between context
+// checks; per-node work is a handful of closed-form evaluations, so this
+// keeps cancellation latency far below a millisecond without paying a
+// channel poll on every node. Each shard of a sharded sweep keeps the same
+// cadence.
 const analyzeCheckEvery = 256
+
+// ShardMinSections is the tree size below which AnalyzeTreeSharded sweeps
+// serially: for small trees the per-node closed forms finish faster than
+// goroutine startup, and the serial path is bit-identical anyway.
+const ShardMinSections = 2048
 
 // AnalyzeTreeCtx is AnalyzeTree under a context: cancellation (or a
 // deadline) is honored periodically along the node sweep, returning a
 // guard.ErrCanceled-classed error. Per-node model failures carry the
 // guard taxonomy with the offending node's name.
 func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
-	return analyzeTree(ctx, t, true)
+	return analyzeTree(ctx, t, true, 1)
 }
 
 // AnalyzeTreeDelays is AnalyzeTreeCtx for consumers that read only the
@@ -74,12 +81,39 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 // overdamped nodes. Errors, cancellation, spans and metrics are those of
 // AnalyzeTreeCtx.
 func AnalyzeTreeDelays(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
-	return analyzeTree(ctx, t, false)
+	return analyzeTree(ctx, t, false, 1)
 }
 
-// analyzeTree is the one serial sweep behind AnalyzeTreeCtx (full) and
-// AnalyzeTreeDelays (!full): the O(n) sums, then the per-node kernel.
-func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool) ([]NodeAnalysis, error) {
+// AnalyzeTreeSharded is AnalyzeTreeCtx with the per-node closed-form sweep
+// sharded across ShardWorkers(t.Len(), workers) goroutines. The two O(n)
+// summation passes of the paper's Appendix are inherently serial (each
+// node's sums depend on its parent's) and run first on the calling
+// goroutine; the per-node kernel that follows is independent across
+// nodes, so each worker fills a contiguous, disjoint shard of the result
+// slice with no synchronization beyond the final join.
+//
+// Results are bit-identical to AnalyzeTreeCtx: both run the same pure
+// per-node kernel on the same sums. On error the returned error is the one
+// the serial sweep would have hit first (lowest node index); worker panics
+// are isolated by guard.Run and reported as typed errors.
+func AnalyzeTreeSharded(ctx context.Context, t *rlctree.Tree, workers int) ([]NodeAnalysis, error) {
+	return analyzeTree(ctx, t, true, workers)
+}
+
+// ShardWorkers is the number of goroutines AnalyzeTreeSharded sweeps an
+// n-section tree with when asked for workers: 1 when workers <= 1 or the
+// tree is below ShardMinSections, otherwise workers capped at n.
+func ShardWorkers(n, workers int) int {
+	if workers <= 1 || n < ShardMinSections {
+		return 1
+	}
+	return min(workers, n)
+}
+
+// analyzeTree is the one whole-tree sweep behind AnalyzeTreeCtx (full),
+// AnalyzeTreeDelays (!full) and AnalyzeTreeSharded: the O(n) sums, then
+// the per-node kernel on one goroutine or across contiguous shards.
+func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int) ([]NodeAnalysis, error) {
 	n := t.Len()
 	if n == 0 {
 		return nil, guard.Newf(guard.ErrTopology, "core", "empty tree")
@@ -87,6 +121,7 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool) ([]NodeAnalysi
 	if err := guard.Check(ctx); err != nil {
 		return nil, err
 	}
+	workers = ShardWorkers(n, workers)
 	// Instrumentation is per-sweep, never per-node: two clock reads and a
 	// couple of histogram records for the whole tree, so the closed-form
 	// kernel stays as fast as the uninstrumented baseline.
@@ -104,29 +139,25 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool) ([]NodeAnalysi
 	sumsSpan.End()
 	sweepSpan, _ := obs.StartSpan(ctx, "sweep")
 	sweepSpan.SetSections(n)
-	sweepSpan.SetWorkers(1)
+	sweepSpan.SetWorkers(workers)
 	if track {
 		t0 = time.Now()
 	}
 	out := make([]NodeAnalysis, n)
-	for i, s := range t.Sections() {
-		if i%analyzeCheckEvery == 0 {
-			if err := guard.Check(ctx); err != nil {
-				sweepSpan.EndWith(guard.ClassName(err))
-				return nil, err
-			}
-		}
-		na, err := analyzeNode(sums.SR[i], sums.SL[i], s, full)
-		if err != nil {
-			sweepSpan.EndWith(guard.ClassName(err))
-			return nil, err
-		}
-		out[i] = na
+	var err error
+	if workers == 1 {
+		err = sweep(ctx, sums, t.Sections(), out, 0, n, full)
+	} else {
+		err = sweepSharded(ctx, sums, t.Sections(), out, workers, full)
+	}
+	if err != nil {
+		sweepSpan.EndWith(guard.ClassName(err))
+		return nil, err
 	}
 	outcome := "ok"
 	if track {
 		mKernelLatency.ObserveSince(t0)
-		if RecordDegraded(out) > 0 {
+		if recordDegraded(out) > 0 {
 			outcome = "degraded"
 		}
 	}
@@ -134,12 +165,57 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool) ([]NodeAnalysi
 	return out, nil
 }
 
+// sweep runs the per-node kernel over out[lo:hi].
+func sweep(ctx context.Context, sums rlctree.Sums, secs []*rlctree.Section, out []NodeAnalysis, lo, hi int, full bool) error {
+	for i := lo; i < hi; i++ {
+		if (i-lo)%analyzeCheckEvery == 0 {
+			if err := guard.Check(ctx); err != nil {
+				return err
+			}
+		}
+		na, err := analyzeNode(sums.SR[i], sums.SL[i], secs[i], full)
+		if err != nil {
+			return err
+		}
+		out[i] = na
+	}
+	return nil
+}
+
+// sweepSharded runs sweep over workers contiguous shards of out, worker w
+// owning [w·chunk, (w+1)·chunk).
+func sweepSharded(ctx context.Context, sums rlctree.Sums, secs []*rlctree.Section, out []NodeAnalysis, workers int, full bool) error {
+	n := len(out)
+	chunk := (n + workers - 1) / workers
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w*chunk < n; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = guard.Run(ctx, func(ctx context.Context) error {
+				return sweep(ctx, sums, secs, out, lo, hi, full)
+			})
+		}()
+	}
+	wg.Wait()
+	// Each shard stops at its first error and shards are in index order,
+	// so the first failed shard holds the lowest-index error — the one a
+	// serial sweep returns.
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AnalyzeNodeSums computes the characterization for a single section from
 // precomputed tree summations (see rlctree.Tree.ElmoreSums). This is the
-// per-node kernel shared by the serial sweep of AnalyzeTreeCtx and the
-// parallel sweep of internal/engine: given the same sums it is a pure
-// constant-time function of one section, so sharding the node range across
-// workers yields bit-identical results to the serial pass.
+// per-node kernel of the whole-tree sweeps: given the same sums it is a
+// pure constant-time function of one section, so sharding the node range
+// across workers yields bit-identical results to the serial pass.
 //
 // Callers that evaluate many single nodes of an unchanged tree should
 // compute the sums once and call this per node — that keeps the per-node

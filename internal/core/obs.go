@@ -2,10 +2,9 @@ package core
 
 import "eedtree/internal/obs"
 
-// Registry metrics for the analysis kernels. The engine's parallel sweep
-// records into the same two latency histograms by name (the default
-// registry deduplicates), so "sums pass vs per-node kernel" timing covers
-// both execution paths.
+// Registry metrics for the analysis kernels. Every whole-tree sweep —
+// serial, delay-only or sharded — records into the same two latency
+// histograms, so "sums pass vs per-node kernel" timing covers all paths.
 var (
 	mSumsLatency = obs.Default().Histogram("eed_core_sums_latency_ns",
 		"Wall time of the two O(n) Elmore summation passes, nanoseconds.",
@@ -41,11 +40,11 @@ func countDegraded(out []NodeAnalysis) (zeroL, nonPhys, degen int) {
 	return
 }
 
-// RecordDegraded bumps the degraded-to-RC counters for one completed
-// sweep and returns the total number of degraded nodes. Both the serial
-// sweep and the engine's parallel sweep call it once per analysis, so the
-// per-node tallying stays out of the hot kernel.
-func RecordDegraded(out []NodeAnalysis) int {
+// recordDegraded bumps the degraded-to-RC counters for one completed
+// sweep and returns the total number of degraded nodes. The whole-tree
+// sweep calls it once per analysis, so the per-node tallying stays out of
+// the hot kernel.
+func recordDegraded(out []NodeAnalysis) int {
 	zeroL, nonPhys, degen := countDegraded(out)
 	if zeroL > 0 {
 		mDegradedZeroL.Add(uint64(zeroL))

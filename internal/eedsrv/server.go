@@ -38,8 +38,8 @@ const (
 // Options configures a Server. The zero value is a usable production
 // default.
 type Options struct {
-	// Engine executes whole-tree sweeps; nil means a fresh default engine
-	// (GOMAXPROCS workers, DefaultCacheEntries result cache).
+	// Engine executes whole-tree sweeps for the registry's sessions; nil
+	// means engine.New(engine.Options{}) (GOMAXPROCS workers).
 	Engine *engine.Engine
 	// RegistryEntries bounds the resident-net pool (LRU-evicted).
 	// 0 means engine.DefaultRegistryEntries.
@@ -95,7 +95,6 @@ type Options struct {
 // concurrent use; one Server is meant to serve a whole process.
 type Server struct {
 	opts      Options
-	eng       *engine.Engine
 	reg       *engine.Registry
 	sem       chan struct{}
 	mux       *http.ServeMux
@@ -182,7 +181,6 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:      opts,
-		eng:       opts.Engine,
 		reg:       engine.NewRegistry(opts.Engine, opts.RegistryEntries),
 		sem:       make(chan struct{}, opts.MaxInflight),
 		mux:       http.NewServeMux(),

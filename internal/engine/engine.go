@@ -4,7 +4,7 @@
 // each node's second-order model and timing metrics are a pure function of
 // (sums, section). The engine exploits that in three ways:
 //
-//   - AnalyzeTreeParallel shards the per-node sweep across a worker pool,
+//   - AnalyzeTreeParallel runs core's sharded sweep on a worker pool,
 //     producing results bit-identical to the serial path;
 //   - Engine adds a content-addressed result cache keyed by the tree's
 //     Fingerprint, so re-analyzing an unchanged deck is a hash plus a copy;
@@ -19,7 +19,8 @@ package engine
 
 import (
 	"context"
-	"runtime"
+	"sync"
+	"time"
 
 	"eedtree/internal/core"
 	"eedtree/internal/guard"
@@ -28,18 +29,15 @@ import (
 )
 
 // Options configures an Engine. The zero value is usable: GOMAXPROCS
-// workers and a DefaultCacheEntries-entry result cache.
+// workers.
 type Options struct {
 	// Workers is the number of goroutines used for per-node sweeps.
 	// 0 (or negative) means runtime.GOMAXPROCS(0).
 	Workers int
-	// CacheEntries bounds the result cache (each entry holds one analyzed
-	// tree). 0 means DefaultCacheEntries; negative disables caching.
-	CacheEntries int
 }
 
-// DefaultCacheEntries is the result-cache capacity used when
-// Options.CacheEntries is zero.
+// DefaultCacheEntries is the result-cache capacity of every Engine (each
+// entry holds one analyzed tree).
 const DefaultCacheEntries = 64
 
 // Engine executes tree analyses on a worker pool with a content-addressed
@@ -48,28 +46,49 @@ const DefaultCacheEntries = 64
 // requests.
 type Engine struct {
 	workers int
-	cache   *cache // nil when caching is disabled
+
+	mu        sync.Mutex // guards the result cache and its counters
+	cache     *lru[rlctree.Fingerprint, []core.NodeAnalysis]
+	hits      uint64
+	misses    uint64
+	evictions uint64
 }
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = defaultWorkers()
 	}
-	entries := opts.CacheEntries
-	if entries == 0 {
-		entries = DefaultCacheEntries
-	}
-	e := &Engine{workers: workers}
-	if entries > 0 {
-		e.cache = newCache(entries)
-	}
-	return e
+	return &Engine{workers: workers, cache: newLRU[rlctree.Fingerprint, []core.NodeAnalysis](DefaultCacheEntries)}
 }
 
 // Workers returns the worker-pool width the engine analyzes with.
 func (e *Engine) Workers() int { return e.workers }
+
+// AnalyzeTreeParallel is core.AnalyzeTreeSharded with workers <= 0 meaning
+// GOMAXPROCS, plus the engine's per-sweep latency and worker-width
+// records. Results are bit-identical to the serial core.AnalyzeTreeCtx;
+// errors, cancellation and panic isolation are core's.
+func AnalyzeTreeParallel(ctx context.Context, t *rlctree.Tree, workers int) ([]core.NodeAnalysis, error) {
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
+	// Two clock reads and two histogram records per sweep, never per node,
+	// so the kernel runs as fast as the uninstrumented baseline — the
+	// invariant `make obs-check` enforces.
+	track := obs.On()
+	var t0 time.Time
+	if track {
+		t0 = time.Now()
+	}
+	out, err := core.AnalyzeTreeSharded(ctx, t, workers)
+	if track && err == nil {
+		mSweepWorkers.Observe(int64(core.ShardWorkers(t.Len(), workers)))
+		mSweepLatency.ObserveSince(t0)
+	}
+	return out, err
+}
 
 // AnalyzeTree computes the equivalent Elmore characterization at every node
 // of the tree — the same results as core.AnalyzeTree, bit for bit — using
@@ -81,34 +100,67 @@ func (e *Engine) AnalyzeTree(ctx context.Context, t *rlctree.Tree) ([]core.NodeA
 		// Match the serial path's error before touching the fingerprint.
 		return nil, guard.Newf(guard.ErrTopology, "core", "empty tree")
 	}
-	var fp rlctree.Fingerprint
-	if e.cache != nil {
-		lookup, _ := obs.StartSpan(ctx, "cache.lookup")
-		lookup.SetSections(t.Len())
-		fp = t.Fingerprint()
-		if hit, ok := e.cache.get(fp); ok {
-			lookup.EndWith("hit")
-			return rebind(hit, t), nil
-		}
-		lookup.EndWith("miss")
+	lookup, _ := obs.StartSpan(ctx, "cache.lookup")
+	lookup.SetSections(t.Len())
+	fp := t.Fingerprint()
+	if hit, ok := e.cacheGet(fp); ok {
+		lookup.EndWith("hit")
+		return rebind(hit, t), nil
 	}
+	lookup.EndWith("miss")
 	out, err := AnalyzeTreeParallel(ctx, t, e.workers)
 	if err != nil {
 		return nil, err
 	}
-	if e.cache != nil {
-		stored := make([]core.NodeAnalysis, len(out))
-		copy(stored, out)
-		e.cache.put(fp, stored)
+	// The stored copy drops its Section pointers: they would keep the
+	// whole tree reachable for as long as the entry stays cached.
+	stored := make([]core.NodeAnalysis, len(out))
+	copy(stored, out)
+	for i := range stored {
+		stored[i].Section = nil
 	}
+	e.cachePut(fp, stored)
 	return out, nil
+}
+
+func (e *Engine) cacheGet(key rlctree.Fingerprint) ([]core.NodeAnalysis, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	val, ok := e.cache.get(key)
+	if ok {
+		e.hits++
+		if obs.On() {
+			mCacheHits.Inc()
+		}
+	} else {
+		e.misses++
+		if obs.On() {
+			mCacheMisses.Inc()
+		}
+	}
+	return val, ok
+}
+
+// cachePut stores val under key. Same fingerprint ⇒ same content ⇒ same
+// analysis, so two goroutines analyzing the same tree race here benignly.
+func (e *Engine) cachePut(key rlctree.Fingerprint, val []core.NodeAnalysis) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	evicted := e.cache.add(key, val)
+	e.evictions += uint64(evicted)
+	if obs.On() {
+		if evicted > 0 {
+			mCacheEvictions.Add(uint64(evicted))
+		}
+		mCacheEntries.Set(int64(e.cache.len()))
+	}
 }
 
 // rebind copies a cached analysis slice, re-pointing each entry's Section
 // at the query tree's sections. Fingerprint equality guarantees the two
 // trees have identical section sequences, so index alignment is exact;
-// without this step a cache hit would leak sections of the first tree that
-// produced the entry.
+// stored entries carry no Section, so this step is what attaches the
+// query tree.
 func rebind(cached []core.NodeAnalysis, t *rlctree.Tree) []core.NodeAnalysis {
 	out := make([]core.NodeAnalysis, len(cached))
 	copy(out, cached)
@@ -125,14 +177,18 @@ type CacheStats struct {
 	Misses    uint64 // lookups that fell through to analysis
 	Evictions uint64 // entries displaced by the capacity bound
 	Entries   int    // entries currently resident
-	Capacity  int    // configured bound (0 when caching is disabled)
+	Capacity  int    // the bound, DefaultCacheEntries
 }
 
-// CacheStats returns the engine's cache counters. All zeros when caching
-// is disabled.
+// CacheStats returns the engine's cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return CacheStats{
+		Hits:      e.hits,
+		Misses:    e.misses,
+		Evictions: e.evictions,
+		Entries:   e.cache.len(),
+		Capacity:  e.cache.capacity,
 	}
-	return e.cache.stats()
 }

@@ -51,7 +51,7 @@ func sameAnalyses(t *testing.T, got, want []core.NodeAnalysis) {
 func TestParallelMatchesSerialRandomTrees(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
-		for _, sections := range []int{1, 17, 300, parallelThreshold + 513} {
+		for _, sections := range []int{1, 17, 300, core.ShardMinSections + 513} {
 			rng := rand.New(rand.NewSource(seed))
 			spec := rlctree.RandomSpec{Sections: sections}
 			if seed == 2 {
@@ -83,7 +83,7 @@ func TestParallelEmptyTree(t *testing.T) {
 // hard-fails analysis; the parallel join must surface the same
 // lowest-index failure the serial sweep reports, whichever shard hit it.
 func TestParallelErrorMatchesSerial(t *testing.T) {
-	tree, err := rlctree.Line("w", parallelThreshold+100, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
+	tree, err := rlctree.Line("w", core.ShardMinSections+100, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 // periodic check via a hook context that cancels itself after a fixed
 // number of polls, so the sweep is deterministically interrupted mid-range.
 func TestParallelCancelMidSweep(t *testing.T) {
-	tree, err := rlctree.Line("w", 4*parallelThreshold, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
+	tree, err := rlctree.Line("w", 4*core.ShardMinSections, rlctree.SectionValues{R: 1, L: 0.1e-9, C: 10e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +253,8 @@ func TestEngineCacheMissAfterMutation(t *testing.T) {
 // TestEngineCacheEviction: the LRU bound holds and evictions are counted.
 func TestEngineCacheEviction(t *testing.T) {
 	ctx := context.Background()
-	e := New(Options{Workers: 1, CacheEntries: 2})
-	trees := make([]*rlctree.Tree, 3)
+	e := New(Options{Workers: 1})
+	trees := make([]*rlctree.Tree, DefaultCacheEntries+1)
 	for i := range trees {
 		tr, err := rlctree.Line("w", 4+i, rlctree.SectionValues{R: 10, L: 1e-9, C: 40e-15})
 		if err != nil {
@@ -266,36 +266,20 @@ func TestEngineCacheEviction(t *testing.T) {
 		}
 	}
 	st := e.CacheStats()
-	if st.Entries != 2 || st.Evictions != 1 {
+	if st.Entries != DefaultCacheEntries || st.Capacity != DefaultCacheEntries || st.Evictions != 1 {
 		t.Fatalf("eviction accounting wrong: %+v", st)
 	}
 	// trees[0] was evicted (LRU): analyzing it again misses.
 	if _, err := e.AnalyzeTree(ctx, trees[0]); err != nil {
 		t.Fatal(err)
 	}
-	// trees[2] is still resident: hit.
-	if _, err := e.AnalyzeTree(ctx, trees[2]); err != nil {
+	// The newest tree is still resident: hit.
+	if _, err := e.AnalyzeTree(ctx, trees[len(trees)-1]); err != nil {
 		t.Fatal(err)
 	}
 	st = e.CacheStats()
-	if st.Misses != 4 || st.Hits != 1 {
+	if st.Misses != uint64(len(trees)+1) || st.Hits != 1 {
 		t.Fatalf("post-eviction lookups wrong: %+v", st)
-	}
-}
-
-func TestEngineCacheDisabled(t *testing.T) {
-	e := New(Options{Workers: 1, CacheEntries: -1})
-	tree, err := rlctree.Line("w", 8, rlctree.SectionValues{R: 10, L: 1e-9, C: 40e-15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := e.AnalyzeTree(context.Background(), tree); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := e.CacheStats(); st != (CacheStats{}) {
-		t.Fatalf("disabled cache must stay empty: %+v", st)
 	}
 }
 
@@ -303,8 +287,8 @@ func TestEngineCacheDisabled(t *testing.T) {
 // mixed hits and misses — must be race-free (run under -race) and correct.
 func TestEngineConcurrentUse(t *testing.T) {
 	ctx := context.Background()
-	e := New(Options{Workers: 2, CacheEntries: 4})
-	trees := make([]*rlctree.Tree, 8)
+	e := New(Options{Workers: 2})
+	trees := make([]*rlctree.Tree, 2*DefaultCacheEntries)
 	for i := range trees {
 		trees[i] = rlctree.Random(rand.New(rand.NewSource(int64(i))), rlctree.RandomSpec{Sections: 40})
 	}
@@ -316,8 +300,9 @@ func TestEngineConcurrentUse(t *testing.T) {
 		}
 		wants[i] = w
 	}
-	done := make(chan error, 32)
-	for g := 0; g < 32; g++ {
+	goroutines := 4 * len(trees)
+	done := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			tr := trees[g%len(trees)]
 			got, err := e.AnalyzeTree(ctx, tr)
@@ -332,7 +317,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			done <- nil
 		}(g)
 	}
-	for g := 0; g < 32; g++ {
+	for g := 0; g < goroutines; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}

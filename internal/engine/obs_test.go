@@ -30,15 +30,19 @@ func snapCacheCounters() cacheCounterSnapshot {
 // the cache mutex.
 func TestCacheCountersMatchCacheStats(t *testing.T) {
 	ctx := context.Background()
-	eng := New(Options{Workers: 2, CacheEntries: 2})
+	eng := New(Options{Workers: 2})
 	rng := rand.New(rand.NewSource(7))
 	a := rlctree.Random(rng, rlctree.RandomSpec{Sections: 40})
-	b := rlctree.Random(rng, rlctree.RandomSpec{Sections: 41})
-	c := rlctree.Random(rng, rlctree.RandomSpec{Sections: 42})
+	seq := []*rlctree.Tree{a, a, a}
+	for i := 0; i < DefaultCacheEntries; i++ {
+		seq = append(seq, rlctree.Random(rng, rlctree.RandomSpec{Sections: 41 + i}))
+	}
+	seq = append(seq, a)
 
 	before := snapCacheCounters()
-	// a: miss, hit, hit; b: miss; c: miss (evicts a); a: miss again.
-	for _, tree := range []*rlctree.Tree{a, a, a, b, c, a} {
+	// a: miss, hit, hit; DefaultCacheEntries others: miss (the last
+	// evicts a); a: miss again.
+	for _, tree := range seq {
 		if _, err := eng.AnalyzeTree(ctx, tree); err != nil {
 			t.Fatal(err)
 		}
@@ -55,8 +59,8 @@ func TestCacheCountersMatchCacheStats(t *testing.T) {
 	if got := after.evictions - before.evictions; got != cs.Evictions {
 		t.Errorf("registry evictions delta = %d, CacheStats.Evictions = %d", got, cs.Evictions)
 	}
-	if cs.Hits != 2 || cs.Misses != 4 {
-		t.Errorf("CacheStats = %+v, want 2 hits / 4 misses", cs)
+	if cs.Hits != 2 || cs.Misses != DefaultCacheEntries+2 {
+		t.Errorf("CacheStats = %+v, want 2 hits / %d misses", cs, DefaultCacheEntries+2)
 	}
 	if cs.Evictions == 0 {
 		t.Errorf("expected at least one eviction, got %+v", cs)
@@ -71,7 +75,7 @@ func TestCacheCountersMatchCacheStats(t *testing.T) {
 // keeping instrumentation off the per-node path.
 func TestSweepHistogramsPerSweep(t *testing.T) {
 	ctx := context.Background()
-	eng := New(Options{Workers: 3, CacheEntries: 4})
+	eng := New(Options{Workers: 3})
 	rng := rand.New(rand.NewSource(11))
 	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 30})
 
@@ -97,7 +101,7 @@ func TestObsOffRecordsNothing(t *testing.T) {
 	obs.SetEnabled(false)
 	defer obs.SetEnabled(true)
 	ctx := context.Background()
-	eng := New(Options{Workers: 2, CacheEntries: 2})
+	eng := New(Options{Workers: 2})
 	rng := rand.New(rand.NewSource(13))
 	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 25})
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 
 	"eedtree/internal/faultinj"
@@ -36,9 +35,7 @@ type Registry struct {
 	eng *Engine
 
 	mu        sync.Mutex
-	capacity  int
-	order     *list.List // front = most recently used; values are *Resident
-	byKey     map[rlctree.Fingerprint]*list.Element
+	nets      *lru[rlctree.Fingerprint, *Resident]
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -55,12 +52,7 @@ func NewRegistry(eng *Engine, capacity int) *Registry {
 	if capacity <= 0 {
 		capacity = DefaultRegistryEntries
 	}
-	return &Registry{
-		eng:      eng,
-		capacity: capacity,
-		order:    list.New(),
-		byKey:    make(map[rlctree.Fingerprint]*list.Element, capacity),
-	}
+	return &Registry{eng: eng, nets: newLRU[rlctree.Fingerprint, *Resident](capacity)}
 }
 
 // Resident is one net held warm by a Registry: the parsed tree and its
@@ -73,8 +65,6 @@ type Resident struct {
 	fp   rlctree.Fingerprint // current content fingerprint; updated by Rekey
 	tree *rlctree.Tree
 	sess *Session
-
-	elem *list.Element // registry LRU slot; nil once evicted (guarded by reg.mu)
 }
 
 // Do runs fn with exclusive access to the resident's session and tree.
@@ -117,21 +107,12 @@ func (r *Registry) PutInfo(t *rlctree.Tree) (*Resident, bool, error) {
 	}
 	fp := t.Fingerprint()
 	r.mu.Lock()
-	if el, ok := r.byKey[fp]; ok {
-		r.order.MoveToFront(el)
-		r.hits++
-		if obs.On() {
-			mRegistryHits.Inc()
-		}
-		res := el.Value.(*Resident)
-		r.mu.Unlock()
+	res, ok := r.nets.get(fp)
+	r.countLookupLocked(ok)
+	r.mu.Unlock()
+	if ok {
 		return res, true, nil
 	}
-	r.misses++
-	if obs.On() {
-		mRegistryMisses.Inc()
-	}
-	r.mu.Unlock()
 
 	// Build the session outside the index lock: incr.New is O(n) and must
 	// not stall lookups of other nets. Two goroutines registering the same
@@ -141,23 +122,17 @@ func (r *Registry) PutInfo(t *rlctree.Tree) (*Resident, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	res := &Resident{reg: r, fp: fp, tree: t, sess: sess}
+	res = &Resident{reg: r, fp: fp, tree: t, sess: sess}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if el, ok := r.byKey[fp]; ok {
-		r.order.MoveToFront(el)
-		r.hits++
-		if obs.On() {
-			mRegistryHits.Inc()
-		}
-		return el.Value.(*Resident), true, nil
+	if cur, ok := r.nets.get(fp); ok {
+		r.countLookupLocked(true)
+		return cur, true, nil
 	}
-	res.elem = r.order.PushFront(res)
-	r.byKey[fp] = res.elem
-	r.evictOverflowLocked()
+	r.countEvictionsLocked(r.nets.add(fp, res))
 	if obs.On() {
-		mRegistryNets.Set(int64(r.order.Len()))
+		mRegistryNets.Set(int64(r.nets.len()))
 	}
 	return res, false, nil
 }
@@ -173,20 +148,24 @@ func (r *Registry) Lookup(fp rlctree.Fingerprint) (*Resident, bool) {
 	if faultinj.Fire(faultinj.RegEvict) {
 		r.flushLocked()
 	}
-	el, ok := r.byKey[fp]
-	if !ok {
-		r.misses++
+	res, ok := r.nets.get(fp)
+	r.countLookupLocked(ok)
+	return res, ok
+}
+
+// countLookupLocked records one registry hit or miss.
+func (r *Registry) countLookupLocked(hit bool) {
+	if hit {
+		r.hits++
 		if obs.On() {
-			mRegistryMisses.Inc()
+			mRegistryHits.Inc()
 		}
-		return nil, false
+		return
 	}
-	r.hits++
+	r.misses++
 	if obs.On() {
-		mRegistryHits.Inc()
+		mRegistryMisses.Inc()
 	}
-	r.order.MoveToFront(el)
-	return el.Value.(*Resident), true
 }
 
 // Rekey re-derives the resident's registry key from its current content
@@ -208,31 +187,18 @@ func (r *Registry) Rekey(res *Resident) rlctree.Fingerprint {
 	if fp == res.fp {
 		return fp
 	}
-	if res.elem != nil {
-		delete(r.byKey, res.fp)
-		if el, ok := r.byKey[fp]; ok {
-			r.removeLocked(el)
-			r.evictions++
-			if obs.On() {
-				mRegistryEvictions.Inc()
-			}
+	// The identity check skips a resident that was evicted meanwhile even
+	// when a re-registration of its old content now holds the old key.
+	if cur, ok := r.nets.peek(res.fp); ok && cur == res {
+		if r.nets.rekey(res.fp, fp) {
+			r.countEvictionsLocked(1)
 		}
-		r.byKey[fp] = res.elem
-		r.order.MoveToFront(res.elem)
 		if obs.On() {
-			mRegistryNets.Set(int64(r.order.Len()))
+			mRegistryNets.Set(int64(r.nets.len()))
 		}
 	}
 	res.fp = fp
 	return fp
-}
-
-// removeLocked drops el from the index and marks its resident evicted.
-func (r *Registry) removeLocked(el *list.Element) {
-	res := el.Value.(*Resident)
-	r.order.Remove(el)
-	delete(r.byKey, res.fp)
-	res.elem = nil
 }
 
 // Flush evicts every resident net, returning how many were dropped. This
@@ -246,29 +212,22 @@ func (r *Registry) Flush() int {
 }
 
 func (r *Registry) flushLocked() int {
-	n := r.order.Len()
-	for r.order.Len() > 0 {
-		r.removeLocked(r.order.Back())
-		r.evictions++
-		if obs.On() {
-			mRegistryEvictions.Inc()
-		}
-	}
+	n := r.nets.flush()
+	r.countEvictionsLocked(n)
 	if n > 0 && obs.On() {
 		mRegistryNets.Set(0)
 	}
 	return n
 }
 
-// evictOverflowLocked removes least-recently-used nets down to capacity.
-func (r *Registry) evictOverflowLocked() {
-	for r.order.Len() > r.capacity {
-		oldest := r.order.Back()
-		r.removeLocked(oldest)
-		r.evictions++
-		if obs.On() {
-			mRegistryEvictions.Inc()
-		}
+// countEvictionsLocked records n nets displaced from the index.
+func (r *Registry) countEvictionsLocked(n int) {
+	if n == 0 {
+		return
+	}
+	r.evictions += uint64(n)
+	if obs.On() {
+		mRegistryEvictions.Add(uint64(n))
 	}
 }
 
@@ -277,11 +236,7 @@ func (r *Registry) evictOverflowLocked() {
 func (r *Registry) Nets() []*Resident {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Resident, 0, r.order.Len())
-	for el := r.order.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Resident))
-	}
-	return out
+	return r.nets.values()
 }
 
 // RegistryStats is a point-in-time snapshot of the registry's counters.
@@ -298,8 +253,8 @@ func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return RegistryStats{
-		Resident:  r.order.Len(),
-		Capacity:  r.capacity,
+		Resident:  r.nets.len(),
+		Capacity:  r.nets.capacity,
 		Hits:      r.hits,
 		Misses:    r.misses,
 		Evictions: r.evictions,

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"eedtree/internal/guard"
 	"eedtree/internal/rlctree"
@@ -391,5 +395,60 @@ func TestBatchRejectsNegativeWorkers(t *testing.T) {
 		if !errors.Is(err, guard.ErrLimit) {
 			t.Fatalf("err = %v, want guard.ErrLimit", err)
 		}
+	}
+}
+
+// TestFlushReleasesTree: once a net is flushed and its caller lets go,
+// neither the registry nor the engine's result cache keeps its tree
+// reachable. The probe is a finalizer on the bytes of one section name,
+// which only the tree references: a tree and its sections point at each
+// other, and Go runs no finalizer on an object inside a cycle, so one set
+// on the tree itself would never fire.
+func TestFlushReleasesTree(t *testing.T) {
+	ctx := context.Background()
+	eng := New(Options{Workers: 1})
+	reg := NewRegistry(eng, 4)
+	freed := make(chan struct{})
+	func() {
+		name := strings.Repeat("probe", 16) // a heap block of its own
+		runtime.SetFinalizer(unsafe.StringData(name), func(*byte) { close(freed) })
+		tree := rlctree.New()
+		root, err := tree.AddSection(name, nil, 10, 1e-9, 50e-15)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tree.AddSection("leaf", root, 10, 1e-9, 50e-15); err != nil {
+			t.Fatal(err)
+		}
+		res, err := reg.Put(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Do(func(sess *Session, _ *rlctree.Tree) error {
+			_, err := sess.Analyze(ctx)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if n := reg.Flush(); n != 1 {
+		t.Fatalf("Flush dropped %d nets, want 1", n)
+	}
+	released := false
+	for i := 0; i < 20 && !released; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			released = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	// The engine and its cache entry outlive the tree.
+	if st := eng.CacheStats(); st.Entries != 1 {
+		t.Fatalf("cache holds %d entries, want the flushed net's 1", st.Entries)
+	}
+	runtime.KeepAlive(reg)
+	if !released {
+		t.Fatal("flushed tree still reachable: a result-cache entry pins it")
 	}
 }

@@ -275,7 +275,7 @@ func TestSessionEditAndAnalyze(t *testing.T) {
 
 func TestSessionAnalyzeFullTreeAndCacheCoherence(t *testing.T) {
 	tree := sessionTestTree(t)
-	eng := New(Options{Workers: 2, CacheEntries: 8})
+	eng := New(Options{Workers: 2})
 	sess, err := eng.NewSession(tree)
 	if err != nil {
 		t.Fatal(err)

@@ -261,19 +261,6 @@ func (s *State) refoldPath(w int32) {
 	}
 }
 
-// Apply replays one journal edit (see rlctree.Tree.EditsSince).
-func (s *State) Apply(e rlctree.Edit) error {
-	switch e.Elem {
-	case rlctree.ElemR:
-		return s.SetR(e.Index, e.New)
-	case rlctree.ElemL:
-		return s.SetL(e.Index, e.New)
-	case rlctree.ElemC:
-		return s.SetC(e.Index, e.New)
-	}
-	return guard.Newf(guard.ErrInternal, "incr", "unknown edit element %d", e.Elem)
-}
-
 // SumsAt returns S_R(i), S_L(i) and Ctot(i) for one node. When the sums
 // are valid this is an array read; after a capacitance edit it walks the
 // node's input→i path once — O(depth), the single-sink query cost the

@@ -67,7 +67,7 @@ func TestEditValidation(t *testing.T) {
 	if _, _, _, err := st.SumsAt(99); err == nil {
 		t.Fatal("out-of-range query must fail")
 	}
-	if err := st.Apply(rlctree.Edit{Index: 0, Elem: rlctree.Elem(9), New: 1}); err == nil {
+	if err := st.ApplyRecord(rlctree.Record{Kind: rlctree.RecordValue, Edit: rlctree.Edit{Index: 0, Elem: rlctree.Elem(9), New: 1}}); err == nil {
 		t.Fatal("unknown edit element must fail")
 	}
 }
@@ -171,12 +171,12 @@ func TestJournalReplayMatchesDirectEdits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	edits, status := tree.EditsSince(g)
+	recs, status := tree.RecordsSince(g)
 	if status != rlctree.JournalOK {
 		t.Fatalf("journal must cover the edit burst: %v", status)
 	}
-	for _, e := range edits {
-		if err := st.Apply(e); err != nil {
+	for _, rec := range recs {
+		if err := st.ApplyRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

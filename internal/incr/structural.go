@@ -36,7 +36,15 @@ import (
 func (s *State) ApplyRecord(rec rlctree.Record) error {
 	switch rec.Kind {
 	case rlctree.RecordValue:
-		return s.Apply(rec.Edit)
+		switch e := rec.Edit; e.Elem {
+		case rlctree.ElemR:
+			return s.SetR(e.Index, e.New)
+		case rlctree.ElemL:
+			return s.SetL(e.Index, e.New)
+		case rlctree.ElemC:
+			return s.SetC(e.Index, e.New)
+		}
+		return guard.Newf(guard.ErrInternal, "incr", "unknown edit element %d", rec.Edit.Elem)
 	case rlctree.RecordAttach:
 		return s.applyAttach(rec)
 	case rlctree.RecordDetach:

@@ -55,7 +55,7 @@ func BenchmarkInsertRepeatersTopoRebuild(b *testing.B) {
 	p := topoRep64()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := InsertRepeatersTopoRebuild(p); err != nil {
+		if _, err := insertRepeatersTopoRebuild(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkExploreTopologiesRebuild(b *testing.B) {
 	p := topology48()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ExploreTopologiesRebuild(p); err != nil {
+		if _, err := exploreTopologiesRebuild(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestStructuralOptimizerSpeedup(t *testing.T) {
 		return best
 	}
 	incr := run(func() (TopoPlan, error) { return InsertRepeatersTopo(p) })
-	rebuild := run(func() (TopoPlan, error) { return InsertRepeatersTopoRebuild(p) })
+	rebuild := run(func() (TopoPlan, error) { return insertRepeatersTopoRebuild(p) })
 	speedup := float64(rebuild) / float64(incr)
 	t.Logf("incremental %v, rebuild %v, speedup %.1f×", incr, rebuild, speedup)
 	if speedup < 10 {

@@ -53,7 +53,7 @@ func TestInsertRepeatersTopoMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reb, err := InsertRepeatersTopoRebuild(p)
+		reb, err := insertRepeatersTopoRebuild(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestExploreTopologiesMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reb, err := ExploreTopologiesRebuild(p)
+		reb, err := exploreTopologiesRebuild(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,12 +15,10 @@ import (
 // mutations in (g, Gen()] instead of resynchronizing from scratch.
 //
 // Since the structural-edit API (structural.go) the journal is typed:
-// structural mutations (attach, detach, split) no longer silently clear the
-// history — they append replayable structural records, so a consumer that
-// understands them (incr.State.ApplyRecord) catches up across topology
-// changes too, and one that does not (EditsSince) learns *why* replay is
-// impossible: a structural change is reported distinctly from a trimmed
-// window.
+// structural mutations (attach, detach, split) append replayable
+// structural records next to the element edits, so a consumer
+// (incr.State.ApplyRecord, fed by RecordsSince) catches up across topology
+// changes too.
 
 // Elem identifies which element value of a section an Edit changed.
 type Elem uint8
@@ -138,10 +136,6 @@ const (
 	// JournalOK: the returned records are the complete history since the
 	// requested generation.
 	JournalOK JournalStatus = iota
-	// JournalStructural: the window contains a structural change, which
-	// the requested record form cannot express (EditsSince only — the
-	// typed RecordsSince replays structural history fine).
-	JournalStructural
 	// JournalTrimmed: the journal's bounded window no longer reaches back
 	// to the requested generation.
 	JournalTrimmed
@@ -155,8 +149,6 @@ func (s JournalStatus) String() string {
 	switch s {
 	case JournalOK:
 		return "ok"
-	case JournalStructural:
-		return "structural change"
 	case JournalTrimmed:
 		return "trimmed window"
 	case JournalFuture:
@@ -167,8 +159,8 @@ func (s JournalStatus) String() string {
 
 // journalCap bounds the retained edit journal. When the journal grows past
 // the cap its oldest half is dropped; consumers whose snapshot predates the
-// retained window fall back to a full resynchronization (EditsSince and
-// RecordsSince report JournalTrimmed). The cap comfortably covers an
+// retained window fall back to a full resynchronization (RecordsSince
+// reports JournalTrimmed). The cap comfortably covers an
 // optimizer's inner-loop burst between queries while bounding memory on
 // very long edit streams.
 const journalCap = 4096
@@ -222,33 +214,6 @@ func (t *Tree) recordEdit(e Edit) {
 func (t *Tree) recordStructural(rec Record) {
 	t.appendRecord(rec)
 	t.lastStructGen = t.gen
-}
-
-// EditsSince returns the element edits applied after generation gen, in
-// order, and JournalOK when that history is complete — i.e. replaying the
-// returned edits onto a snapshot taken at gen reproduces the tree's
-// current element values exactly. Any other status means the history is
-// not expressible as element edits, and says why: JournalStructural (a
-// structural change happened after gen — consumers that can fold topology
-// changes should use RecordsSince instead), JournalTrimmed (the bounded
-// journal dropped that far back) or JournalFuture (gen is ahead of the
-// tree). The returned slice is freshly allocated and owned by the caller.
-func (t *Tree) EditsSince(gen uint64) ([]Edit, JournalStatus) {
-	recs, status := t.RecordsSince(gen)
-	if status != JournalOK {
-		return nil, status
-	}
-	if len(recs) == 0 {
-		return nil, JournalOK
-	}
-	edits := make([]Edit, 0, len(recs))
-	for _, rec := range recs {
-		if rec.Kind != RecordValue {
-			return nil, JournalStructural
-		}
-		edits = append(edits, rec.Edit)
-	}
-	return edits, JournalOK
 }
 
 // RecordsSince returns the typed journal records — element edits and

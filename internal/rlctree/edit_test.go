@@ -83,7 +83,20 @@ func TestGenBumpsOnMutationOnly(t *testing.T) {
 	}
 }
 
-func TestEditsSinceReplay(t *testing.T) {
+// valueEdits unwraps a journal window that holds only element edits.
+func valueEdits(t *testing.T, recs []Record) []Edit {
+	t.Helper()
+	edits := make([]Edit, len(recs))
+	for i, rec := range recs {
+		if rec.Kind != RecordValue {
+			t.Fatalf("record %d is %v, want an element edit", i, rec.Kind)
+		}
+		edits[i] = rec.Edit
+	}
+	return edits
+}
+
+func TestRecordsSinceReplay(t *testing.T) {
 	tr, a, b, c := buildEditTree(t)
 	snapshot := tr.Clone()
 	g := tr.Gen()
@@ -96,12 +109,12 @@ func TestEditsSinceReplay(t *testing.T) {
 	if err := c.SetL(0); err != nil {
 		t.Fatal(err)
 	}
-	edits, status := tr.EditsSince(g)
-	if status != JournalOK || len(edits) != 3 {
-		t.Fatalf("EditsSince: status=%v n=%d, want complete history of 3", status, len(edits))
+	recs, status := tr.RecordsSince(g)
+	if status != JournalOK || len(recs) != 3 {
+		t.Fatalf("RecordsSince: status=%v n=%d, want complete history of 3", status, len(recs))
 	}
 	// Replay onto the snapshot and compare fingerprints.
-	for _, e := range edits {
+	for _, e := range valueEdits(t, recs) {
 		s := snapshot.Sections()[e.Index]
 		var err error
 		switch e.Elem {
@@ -120,27 +133,22 @@ func TestEditsSinceReplay(t *testing.T) {
 		t.Fatal("replaying the journal must reproduce the tree exactly")
 	}
 	// Up to date: no edits, ok.
-	if edits, status := tr.EditsSince(tr.Gen()); status != JournalOK || len(edits) != 0 {
-		t.Fatalf("EditsSince(current) = %v, %v", edits, status)
+	if recs, status := tr.RecordsSince(tr.Gen()); status != JournalOK || len(recs) != 0 {
+		t.Fatalf("RecordsSince(current) = %v, %v", recs, status)
 	}
 	// Future generation: not replayable, and says so.
-	if _, status := tr.EditsSince(tr.Gen() + 1); status != JournalFuture {
+	if _, status := tr.RecordsSince(tr.Gen() + 1); status != JournalFuture {
 		t.Fatalf("future generation: status=%v, want %v", status, JournalFuture)
 	}
 }
 
-func TestEditsSinceStructuralChangeInvalidates(t *testing.T) {
+func TestRecordsSinceAcrossStructuralChange(t *testing.T) {
 	tr, a, _, _ := buildEditTree(t)
 	g := tr.Gen()
 	if err := a.SetR(99); err != nil {
 		t.Fatal(err)
 	}
 	tr.MustAddSection("d", a, 1, 0, 1e-15)
-	// The history is not expressible as element edits, and the status says
-	// why: a structural change, not a trimmed window.
-	if _, status := tr.EditsSince(g); status != JournalStructural {
-		t.Fatalf("history across a structural change: status=%v, want %v", status, JournalStructural)
-	}
 	if !tr.StructuralSince(g) {
 		t.Fatal("StructuralSince must report the topology change")
 	}
@@ -155,8 +163,8 @@ func TestEditsSinceStructuralChangeInvalidates(t *testing.T) {
 	if err := a.SetR(98); err != nil {
 		t.Fatal(err)
 	}
-	if edits, status := tr.EditsSince(g2); status != JournalOK || len(edits) != 1 {
-		t.Fatalf("post-structural history: status=%v n=%d", status, len(edits))
+	if recs, status := tr.RecordsSince(g2); status != JournalOK || len(valueEdits(t, recs)) != 1 {
+		t.Fatalf("post-structural history: status=%v n=%d", status, len(recs))
 	}
 	if tr.StructuralSince(g2) {
 		t.Fatal("StructuralSince must not fire for pure element edits")
@@ -171,7 +179,7 @@ func TestEditJournalTrimming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, status := tr.EditsSince(g); status != JournalTrimmed {
+	if _, status := tr.RecordsSince(g); status != JournalTrimmed {
 		t.Fatalf("history beyond the trimmed journal: status=%v, want %v", status, JournalTrimmed)
 	}
 	// Recent history survives the trim.
@@ -179,8 +187,8 @@ func TestEditJournalTrimming(t *testing.T) {
 	if err := a.SetR(1e6); err != nil {
 		t.Fatal(err)
 	}
-	if edits, status := tr.EditsSince(g2); status != JournalOK || len(edits) != 1 || edits[0].New != 1e6 {
-		t.Fatalf("recent history lost: status=%v edits=%v", status, edits)
+	if recs, status := tr.RecordsSince(g2); status != JournalOK || len(recs) != 1 || valueEdits(t, recs)[0].New != 1e6 {
+		t.Fatalf("recent history lost: status=%v records=%v", status, recs)
 	}
 }
 

@@ -120,7 +120,7 @@ func FuzzEditJournal(f *testing.F) {
 				}
 			}
 		}
-		edits, status := tr.EditsSince(gen0)
+		recs, status := tr.RecordsSince(gen0)
 		if status != JournalOK {
 			// Only a journal trim can make the history unreplayable here
 			// (no structural changes happened after gen0), and the status
@@ -133,7 +133,7 @@ func FuzzEditJournal(f *testing.F) {
 			}
 			return
 		}
-		for _, e := range edits {
+		for _, e := range valueEdits(t, recs) {
 			s := pristine.Sections()[e.Index]
 			var rerr error
 			switch e.Elem {

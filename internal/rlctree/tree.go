@@ -119,7 +119,7 @@ type Tree struct {
 	// gen counts every mutation (structural or element edit). journal
 	// holds the typed mutation records — element edits and structural
 	// changes — with journalBase the generation just before its first
-	// entry; see EditsSince/RecordsSince. lastStructGen is the generation
+	// entry; see RecordsSince. lastStructGen is the generation
 	// of the most recent structural mutation (resync-cause reporting). fp
 	// caches the content fingerprint of generation fpGen.
 	gen           uint64
