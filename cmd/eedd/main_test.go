@@ -329,3 +329,18 @@ func TestSigtermDuringActiveLoad(t *testing.T) {
 		t.Fatalf("exit %d after SIGTERM under load, want 0\nstderr:\n%s", exitCode(t, err), rest.String())
 	}
 }
+
+// TestSigtermRightAfterHandshakeDrains: a SIGTERM sent the moment the
+// listen handshake appears must drain the daemon and exit 0, not kill
+// it, so the signal handler has to be installed before the handshake.
+func TestSigtermRightAfterHandshakeDrains(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		cmd, _, rest := startDaemon(t)
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); exitCode(t, err) != 0 {
+			t.Fatalf("start %d: exit %d after SIGTERM, want 0\nstderr: %s", i, exitCode(t, err), rest.String())
+		}
+	}
+}

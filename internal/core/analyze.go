@@ -70,7 +70,7 @@ const ShardMinSections = 2048
 // guard.ErrCanceled-classed error. Per-node model failures carry the
 // guard taxonomy with the offending node's name.
 func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
-	return analyzeTree(ctx, t, true, 1)
+	return analyzeTree(ctx, t, true, 1, nil)
 }
 
 // AnalyzeTreeDelays is AnalyzeTreeCtx for consumers that read only the
@@ -80,8 +80,12 @@ func AnalyzeTreeCtx(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error
 // delay report never reads — chiefly SettlingTime, which bisects on
 // overdamped nodes. Errors, cancellation, spans and metrics are those of
 // AnalyzeTreeCtx.
-func AnalyzeTreeDelays(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, error) {
-	return analyzeTree(ctx, t, false, 1)
+//
+// The nodes are appended to dst, in the style of append: a caller that
+// sweeps many trees passes the previous result sliced to zero length and
+// reuses its backing array. On error dst is returned unextended.
+func AnalyzeTreeDelays(ctx context.Context, t *rlctree.Tree, dst []NodeAnalysis) ([]NodeAnalysis, error) {
+	return analyzeTree(ctx, t, false, 1, dst)
 }
 
 // AnalyzeTreeSharded is AnalyzeTreeCtx with the per-node closed-form sweep
@@ -97,7 +101,7 @@ func AnalyzeTreeDelays(ctx context.Context, t *rlctree.Tree) ([]NodeAnalysis, er
 // the serial sweep would have hit first (lowest node index); worker panics
 // are isolated by guard.Run and reported as typed errors.
 func AnalyzeTreeSharded(ctx context.Context, t *rlctree.Tree, workers int) ([]NodeAnalysis, error) {
-	return analyzeTree(ctx, t, true, workers)
+	return analyzeTree(ctx, t, true, workers, nil)
 }
 
 // ShardWorkers is the number of goroutines AnalyzeTreeSharded sweeps an
@@ -112,14 +116,15 @@ func ShardWorkers(n, workers int) int {
 
 // analyzeTree is the one whole-tree sweep behind AnalyzeTreeCtx (full),
 // AnalyzeTreeDelays (!full) and AnalyzeTreeSharded: the O(n) sums, then
-// the per-node kernel on one goroutine or across contiguous shards.
-func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int) ([]NodeAnalysis, error) {
+// the per-node kernel on one goroutine or across contiguous shards,
+// appending the nodes to dst.
+func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int, dst []NodeAnalysis) ([]NodeAnalysis, error) {
 	n := t.Len()
 	if n == 0 {
-		return nil, guard.Newf(guard.ErrTopology, "core", "empty tree")
+		return dst, guard.Newf(guard.ErrTopology, "core", "empty tree")
 	}
 	if err := guard.Check(ctx); err != nil {
-		return nil, err
+		return dst, err
 	}
 	workers = ShardWorkers(n, workers)
 	// Instrumentation is per-sweep, never per-node: two clock reads and a
@@ -143,7 +148,16 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int) (
 	if track {
 		t0 = time.Now()
 	}
-	out := make([]NodeAnalysis, n)
+	var all []NodeAnalysis
+	if cap(dst)-len(dst) >= n {
+		all = dst[:len(dst)+n]
+	} else {
+		// An exact make, not append's size-class rounding: most callers
+		// pass no buffer.
+		all = make([]NodeAnalysis, len(dst)+n)
+		copy(all, dst)
+	}
+	out := all[len(dst):]
 	var err error
 	if workers == 1 {
 		err = sweep(ctx, sums, t.Sections(), out, 0, n, full)
@@ -152,7 +166,7 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int) (
 	}
 	if err != nil {
 		sweepSpan.EndWith(guard.ClassName(err))
-		return nil, err
+		return dst, err
 	}
 	outcome := "ok"
 	if track {
@@ -162,7 +176,7 @@ func analyzeTree(ctx context.Context, t *rlctree.Tree, full bool, workers int) (
 		}
 	}
 	sweepSpan.EndWith(outcome)
-	return out, nil
+	return all, nil
 }
 
 // sweep runs the per-node kernel over out[lo:hi].

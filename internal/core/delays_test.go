@@ -50,7 +50,7 @@ func TestAnalyzeTreeDelaysMatchesFull(t *testing.T) {
 	bits := math.Float64bits
 	for _, c := range cases {
 		full, ferr := AnalyzeTreeCtx(context.Background(), c.tree)
-		del, derr := AnalyzeTreeDelays(context.Background(), c.tree)
+		del, derr := AnalyzeTreeDelays(context.Background(), c.tree, nil)
 		if (ferr == nil) != (derr == nil) || (ferr != nil && ferr.Error() != derr.Error()) {
 			t.Fatalf("%s: full err %v, delays err %v", c.name, ferr, derr)
 		}
@@ -86,10 +86,46 @@ func TestAnalyzeTreeDelaysMatchesFull(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeTreeDelays(ctx, cases[0].tree); !errors.Is(err, guard.ErrCanceled) {
+	if _, err := AnalyzeTreeDelays(ctx, cases[0].tree, nil); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("canceled delay sweep: error %v not classed guard.ErrCanceled", err)
 	}
-	if _, err := AnalyzeTreeDelays(context.Background(), rlctree.New()); !errors.Is(err, guard.ErrTopology) {
+	if _, err := AnalyzeTreeDelays(context.Background(), rlctree.New(), nil); !errors.Is(err, guard.ErrTopology) {
 		t.Fatalf("empty tree: error %v not classed guard.ErrTopology", err)
+	}
+}
+
+// TestAnalyzeTreeDelaysAppends: the sweep appends to dst, keeping its
+// prefix, and a reused dirty buffer yields the same nodes bit for bit as
+// a fresh one.
+func TestAnalyzeTreeDelaysAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var buf []NodeAnalysis
+	for i := 0; i < 20; i++ {
+		tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 1 + rng.Intn(300), ChainP: 0.5})
+		fresh, err := AnalyzeTreeDelays(context.Background(), tree, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err = AnalyzeTreeDelays(context.Background(), tree, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(buf) != len(fresh) {
+			t.Fatalf("tree %d: reused buffer holds %d nodes, fresh %d", i, len(buf), len(fresh))
+		}
+		for k := range fresh {
+			if buf[k] != fresh[k] {
+				t.Fatalf("tree %d node %d: reused %+v, fresh %+v", i, k, buf[k], fresh[k])
+			}
+		}
+	}
+	tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 5})
+	prefix := []NodeAnalysis{{Delay50: 1}}
+	out, err := AnalyzeTreeDelays(context.Background(), tree, prefix)
+	if err != nil || len(out) != 6 || out[0].Delay50 != 1 || out[1].Section != tree.Sections()[0] {
+		t.Fatalf("append to a one-node prefix: %d nodes, err %v", len(out), err)
+	}
+	if out, err := AnalyzeTreeDelays(context.Background(), rlctree.New(), prefix); err == nil || len(out) != 1 {
+		t.Fatalf("failed sweep returned %d nodes, err %v; want dst unextended", len(out), err)
 	}
 }

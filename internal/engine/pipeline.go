@@ -171,11 +171,12 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 		wgWork.Add(1)
 		go func() {
 			defer wgWork.Done()
+			var nodes []core.NodeAnalysis // this worker's sweep buffer
 			for job := range jobs {
 				if track {
 					mPipeParseQueue.Dec()
 				}
-				res := analyzeOne(ctx, job, track)
+				res := analyzeOne(ctx, job, &nodes, track)
 				if track {
 					mPipeResultQueue.Inc()
 				}
@@ -286,8 +287,8 @@ func RunPipeline(ctx context.Context, r io.Reader, cfg PipelineConfig) (timing.C
 
 // analyzeOne runs one net through tree build → delay-only sweep →
 // summary, recycling the net on every path (the net must not be touched
-// after this call).
-func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
+// after this call). The sweep reuses the worker's buffer *nodes.
+func analyzeOne(ctx context.Context, job pipeJob, nodes *[]core.NodeAnalysis, track bool) NetResult {
 	res := NetResult{Index: job.index, Net: job.net.Name}
 	var tA time.Time
 	if track {
@@ -298,11 +299,11 @@ func analyzeOne(ctx context.Context, job pipeJob, track bool) NetResult {
 		if err != nil {
 			return err
 		}
-		nodes, err := core.AnalyzeTreeDelays(ctx, tree)
+		*nodes, err = core.AnalyzeTreeDelays(ctx, tree, (*nodes)[:0])
 		if err != nil {
 			return err
 		}
-		ns, err := timing.SummarizeNet(job.net.Name, nodes)
+		ns, err := timing.SummarizeNet(job.net.Name, *nodes)
 		if err != nil {
 			return err
 		}

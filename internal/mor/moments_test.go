@@ -1,12 +1,14 @@
 package mor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"eedtree/internal/circuit"
+	"eedtree/internal/mna"
 	"eedtree/internal/moments"
 	"eedtree/internal/rlctree"
 	"eedtree/internal/sources"
@@ -15,42 +17,79 @@ import (
 // TestMomentsMatchTreeRecursion: the MNA-descriptor moment computation and
 // the tree recursion of internal/moments are independent formulations of
 // the same quantities; they must agree on random trees at every node.
+//
+// They differ by one known physical term: the MNA descriptor carries the
+// SPICE-style Gmin leakage at every node, which the ideal tree recursion
+// lacks, and on high-impedance trees it perturbs the moments by up to
+// ~Gmin·R per order. So each residual is bounded by the measured Gmin
+// effect — the shift of the same moment when a second deck adds one more
+// 1/Gmin shunt at every node — rather than by a fixed tolerance.
 func TestMomentsMatchTreeRecursion(t *testing.T) {
-	f := func(seed int64) bool {
+	const (
+		gminMultiple = 2    // residual allowed per unit of the measured Gmin shift
+		residualTol  = 1e-6 // relative residual allowed beyond it
+		order        = 4
+	)
+	check := func(seed int64) error {
 		rng := rand.New(rand.NewSource(seed))
 		tree := rlctree.Random(rng, rlctree.RandomSpec{Sections: 2 + rng.Intn(12)})
-		const order = 4
 		treeMoments, err := moments.Compute(tree, order)
 		if err != nil {
-			return false
+			return err
 		}
 		deck, err := tree.ToDeck(sources.Step{V0: 0, V1: 1})
 		if err != nil {
-			return false
+			return err
+		}
+		leaky, err := tree.ToDeck(sources.Step{V0: 0, V1: 1})
+		if err != nil {
+			return err
+		}
+		for _, name := range leaky.NodeNames()[1:] { // every node but ground
+			if _, err := leaky.AddResistor("Rgmin_"+name, name, "0", 1/mna.Gmin); err != nil {
+				return err
+			}
 		}
 		for _, s := range tree.Sections() {
 			node, ok := deck.Lookup(s.Name())
-			if !ok {
-				return false
+			lnode, lok := leaky.Lookup(s.Name())
+			if !ok || !lok {
+				return fmt.Errorf("seed %d: node %s missing from a deck", seed, s.Name())
 			}
 			deckMoments, err := Moments(deck, node, order)
 			if err != nil {
-				return false
+				return err
+			}
+			leakyMoments, err := Moments(leaky, lnode, order)
+			if err != nil {
+				return err
 			}
 			for k := 0; k <= order; k++ {
 				a, b := treeMoments[k][s.Index()], deckMoments[k]
+				shift := math.Abs(leakyMoments[k] - b)
 				scale := math.Max(math.Abs(a), math.Abs(b))
-				// The MNA descriptor carries the SPICE-style Gmin leakage
-				// at every node (absent from the ideal tree recursion),
-				// which perturbs moments of high-impedance trees by up to
-				// ~Gmin·R per order.
-				if scale > 0 && math.Abs(a-b) > 1e-4*scale {
-					t.Logf("seed %d node %s m%d: tree %g vs deck %g", seed, s.Name(), k, a, b)
-					return false
+				if bound := gminMultiple*shift + residualTol*scale; math.Abs(a-b) > bound {
+					return fmt.Errorf("seed %d node %s m%d: tree %g vs deck %g, residual %g over bound %g (Gmin shift %g)",
+						seed, s.Name(), k, a, b, math.Abs(a-b), bound, shift)
 				}
 			}
 		}
-		return true
+		return nil
+	}
+	// The seeds below 20,000 whose high-impedance trees exceed a fixed
+	// 1e-4 relative tolerance through Gmin leakage alone; with Gmin at 0
+	// their residuals fall below 1.2e-7.
+	for _, seed := range []int64{3377, 8435, 13884, 14986, 15079, 15132, 16354} {
+		if err := check(seed); err != nil {
+			t.Error(err)
+		}
+	}
+	f := func(seed int64) bool {
+		err := check(seed)
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -201,3 +201,59 @@ func TestFromArraysEditsMatchTwin(t *testing.T) {
 		}
 	}
 }
+
+// TestFromArraysDuplicatesAtScale: the duplicate check finds a repeated
+// name anywhere in trees of every size, reports the later occurrence with
+// AddSection's message, and accepts names that differ only in a suffix.
+func TestFromArraysDuplicatesAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{2, 3, 9, 100, 3000} {
+		names := make([]string, n)
+		parent := make([]int32, n)
+		vals := make([]float64, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("net:%d", i)
+			parent[i] = int32(i) - 1
+			vals[i] = 1
+		}
+		names[n-1] = names[0] + "(drv)"
+		if _, err := rlctree.FromArrays(names, parent, vals, vals, vals); err != nil {
+			t.Fatalf("%d distinct names: %v", n, err)
+		}
+		dup := rng.Intn(n - 1)
+		names[n-1] = names[dup]
+		_, err := rlctree.FromArrays(names, parent, vals, vals, vals)
+		if want := fmt.Sprintf("rlctree: duplicate section name %q", names[dup]); err == nil || err.Error() != want {
+			t.Fatalf("%d names, copy of %d last: error %v, want %q", n, dup, err, want)
+		}
+	}
+}
+
+// TestFromArraysLazyIndexConcurrent: a bulk tree builds its name index on
+// the first lookup; concurrent first lookups (run under -race) all see
+// the complete index.
+func TestFromArraysLazyIndexConcurrent(t *testing.T) {
+	want := rlctree.Random(rand.New(rand.NewSource(17)), rlctree.RandomSpec{Sections: 400, ChainP: 0.5})
+	got := bulkTwin(t, want)
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		go func() {
+			for i, s := range want.Sections() {
+				if g := got.Section(s.Name()); g != got.Sections()[i] {
+					errs <- fmt.Errorf("Section(%q) = %v, want index %d", s.Name(), g, i)
+					return
+				}
+			}
+			if got.Section("absent") != nil {
+				errs <- fmt.Errorf("Section(absent) resolved")
+				return
+			}
+			errs <- nil
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

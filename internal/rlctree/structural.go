@@ -61,8 +61,9 @@ func (t *Tree) AttachSubtree(parent *Section, src *Tree) ([]*Section, error) {
 	if parent != nil && parent.tree != t {
 		return nil, fmt.Errorf("rlctree: AttachSubtree parent belongs to a different tree")
 	}
+	byName := t.index()
 	for _, s := range src.sections {
-		if _, dup := t.byName[s.name]; dup {
+		if _, dup := byName[s.name]; dup {
 			return nil, fmt.Errorf("rlctree: AttachSubtree name collision on %q", s.name)
 		}
 	}
@@ -99,7 +100,7 @@ func (t *Tree) AttachSubtree(parent *Section, src *Tree) ([]*Section, error) {
 		s.tree = t
 		s.index = start + i
 		t.sections = append(t.sections, s)
-		t.byName[s.name] = s
+		byName[s.name] = s
 		t.r = append(t.r, src.r[i])
 		t.l = append(t.l, src.l[i])
 		t.c = append(t.c, src.c[i])
@@ -165,6 +166,7 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 	// order; a moved section's parent has always moved first, so
 	// s.parent.index is already its new home.
 	nt := New()
+	byName := t.index()
 	for j, old := range removed {
 		s := t.sections[old]
 		pi := int32(-1)
@@ -179,7 +181,7 @@ func (t *Tree) Detach(sec *Section) (*Tree, error) {
 		nt.l = append(nt.l, t.l[old])
 		nt.c = append(nt.c, t.c[old])
 		nt.parentIdx = append(nt.parentIdx, pi)
-		delete(t.byName, s.name)
+		delete(byName, s.name)
 	}
 
 	// Compact the source tree. Suffix fast path: truncate.
@@ -240,7 +242,7 @@ func (t *Tree) SplitSection(sec *Section, k int) ([]*Section, error) {
 		return []*Section{sec}, nil
 	}
 	for i := 1; i < k; i++ {
-		if _, dup := t.byName[fmt.Sprintf("%s~%d", sec.name, i)]; dup {
+		if _, dup := t.index()[fmt.Sprintf("%s~%d", sec.name, i)]; dup {
 			return nil, fmt.Errorf("rlctree: SplitSection name collision on %q~%d", sec.name, i)
 		}
 	}

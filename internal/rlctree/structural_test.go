@@ -18,7 +18,7 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 		t.Fatalf("array lengths diverge from section count %d: r=%d l=%d c=%d parent=%d",
 			n, len(tr.r), len(tr.l), len(tr.c), len(tr.parentIdx))
 	}
-	if len(tr.byName) != n {
+	if len(tr.index()) != n {
 		t.Fatalf("byName has %d entries for %d sections", len(tr.byName), n)
 	}
 	for i, s := range tr.sections {

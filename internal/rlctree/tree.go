@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"eedtree/internal/intern"
 )
 
 // Section is one RLC segment of a tree. Sections are created with
@@ -109,7 +111,12 @@ func (s *Section) String() string {
 // SetR/SetL/SetC) must not race with any other access.
 type Tree struct {
 	sections []*Section
-	byName   map[string]*Section
+
+	// byName indexes sections by name. Trees from FromArrays start
+	// without it — bulk consumers such as the chip pipeline never look a
+	// section up by name — so every use goes through index, which builds
+	// it once (nameOnce, below).
+	byName map[string]*Section
 
 	// Flat SoA element arrays, indexed by section index. parentIdx is -1
 	// for sections attached to the input node.
@@ -129,7 +136,10 @@ type Tree struct {
 	fpMu          sync.Mutex
 	fp            Fingerprint
 	fpGen         uint64
-	fpValid       bool
+	// nameOnce sits beside fpValid so that the two share one word of
+	// padding and a Tree keeps its allocation size class.
+	nameOnce sync.Once
+	fpValid  bool
 }
 
 // New returns an empty tree.
@@ -146,7 +156,7 @@ func (t *Tree) AddSection(name string, parent *Section, r, l, c float64) (*Secti
 	if name == "" {
 		return nil, errEmptyName
 	}
-	if _, dup := t.byName[name]; dup {
+	if _, dup := t.index()[name]; dup {
 		return nil, errDuplicateName(name)
 	}
 	if parent != nil && parent.tree != t {
@@ -205,30 +215,29 @@ func checkValues(name string, r, l, c float64) error {
 // The result has the same indices, names, values and Fingerprint as the
 // equivalent AddSection sequence, but no history: a freshly built tree has
 // nothing to replay, so it starts at generation 0 with an empty journal.
-// The arrays are copied; the caller may reuse them.
+// Nor does it carry a name index until one is needed (Section, or a
+// structural edit). The arrays are copied; the caller may reuse them.
 func FromArrays(names []string, parent []int32, r, l, c []float64) (*Tree, error) {
 	n := len(names)
 	if len(parent) != n || len(r) != n || len(l) != n || len(c) != n {
 		return nil, fmt.Errorf("rlctree: FromArrays lengths differ: %d names, %d parents, %d/%d/%d R/L/C",
 			n, len(parent), len(r), len(l), len(c))
 	}
-	t := &Tree{
-		sections: make([]*Section, n),
-		byName:   make(map[string]*Section, n),
-	}
+	sc := bulkPool.Get().(*bulkState)
+	defer bulkPool.Put(sc)
+	sc.names.Reset(n)
+	sc.kids = append(sc.kids[:0], make([]int32, n)...)
+	t := &Tree{sections: make([]*Section, n)}
 	block := make([]Section, n) // every Section in one allocation
-	nChildren := make([]int32, n)
 	nonRoots := 0
 	for i, name := range names {
 		if name == "" {
 			return nil, errEmptyName
 		}
-		// One map operation per section: a duplicate shows as a map that
-		// did not grow.
-		s := &block[i]
-		if t.byName[name] = s; len(t.byName) != i+1 {
+		if _, dup := intern.ID(&sc.names, names[:i], name); dup {
 			return nil, errDuplicateName(name)
 		}
+		s := &block[i]
 		p := parent[i]
 		if p < -1 || int(p) >= i {
 			return nil, fmt.Errorf("rlctree: section %q has parent index %d; parents must precede their children", name, p)
@@ -239,7 +248,7 @@ func FromArrays(names []string, parent []int32, r, l, c []float64) (*Tree, error
 		s.name, s.index, s.tree = name, i, t
 		if p >= 0 {
 			s.parent = &block[p]
-			nChildren[p]++
+			sc.kids[p]++
 			nonRoots++
 		}
 		t.sections[i] = s
@@ -250,7 +259,7 @@ func FromArrays(names []string, parent []int32, r, l, c []float64) (*Tree, error
 	kids := make([]*Section, nonRoots)
 	off := 0
 	for i := range block {
-		if k := int(nChildren[i]); k > 0 {
+		if k := int(sc.kids[i]); k > 0 {
 			block[i].children = kids[off : off : off+k]
 			off += k
 		}
@@ -266,6 +275,16 @@ func FromArrays(names []string, parent []int32, r, l, c []float64) (*Tree, error
 	t.parentIdx = append([]int32(nil), parent...)
 	return t, nil
 }
+
+// bulkState is FromArrays' transient state, pooled so that a bulk build
+// allocates only the tree: a name table, which finds duplicate names
+// without keeping a map, and the child count of every section.
+type bulkState struct {
+	names intern.Table
+	kids  []int32
+}
+
+var bulkPool = sync.Pool{New: func() any { return new(bulkState) }}
 
 // MustAddSection is AddSection that panics on error, for use in builders
 // and tests with known-good arguments.
@@ -285,7 +304,21 @@ func (t *Tree) Len() int { return len(t.sections) }
 func (t *Tree) Sections() []*Section { return t.sections }
 
 // Section returns the section with the given name, or nil if absent.
-func (t *Tree) Section(name string) *Section { return t.byName[name] }
+func (t *Tree) Section(name string) *Section { return t.index()[name] }
+
+// index returns the name index, building it on first use. It is safe for
+// concurrent readers; mutators call it before writing the map.
+func (t *Tree) index() map[string]*Section {
+	t.nameOnce.Do(func() {
+		if t.byName == nil {
+			t.byName = make(map[string]*Section, len(t.sections))
+			for _, s := range t.sections {
+				t.byName[s.name] = s
+			}
+		}
+	})
+	return t.byName
+}
 
 // Roots returns the sections attached directly to the input node.
 func (t *Tree) Roots() []*Section {

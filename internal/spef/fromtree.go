@@ -54,6 +54,7 @@ func FromTree(t *rlctree.Tree, netName, driverPin string, units Units) (*File, e
 		}
 	}
 	net.TotalCap = totalC
+	net.assignIDs()
 	f := &File{
 		Header: map[string]string{
 			"SPEF":   "IEEE 1481-1998",

@@ -77,9 +77,10 @@ func (s *Stream) Ports() []Port { return s.p.file.Ports }
 func (s *Stream) Nets() int { return s.p.nets }
 
 // netPool recycles Net values and their element slices across a
-// streaming run: Recycle resets a net and returns it here, and the
-// parser's *D_NET handler draws from it, so steady-state streaming
-// allocates only the per-entry strings, keeping RSS flat with net count.
+// streaming run: Recycle returns a net here, and the parser's *D_NET
+// handler draws from it, so steady-state streaming allocates only the
+// net's name and one string per distinct node, keeping RSS flat with
+// net count.
 var netPool = sync.Pool{New: func() any { return new(Net) }}
 
 // newNet returns a reset Net, reusing pooled backing arrays when
@@ -91,6 +92,7 @@ func newNet() *Net {
 	n.Caps = n.Caps[:0]
 	n.Ress = n.Ress[:0]
 	n.Inducs = n.Inducs[:0]
+	n.nodes = n.nodes[:0]
 	return n
 }
 
@@ -105,5 +107,7 @@ func RecycleNet(n *Net) {
 	if n == nil {
 		return
 	}
+	clear(n.nodes) // a pooled net keeps no node names alive
+	n.nodes = n.nodes[:0]
 	netPool.Put(n)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"eedtree/internal/guard"
+	"eedtree/internal/intern"
 	"eedtree/internal/rlctree"
 )
 
@@ -30,9 +31,16 @@ const treeOp = "spef.Net.Tree"
 // and missing or multiple drivers are guard.ErrTopology errors. When a
 // net has several faults, the first check to fail reports the first
 // offending entry in file order, so the message is deterministic.
+//
+// Tree does not modify the net, so goroutines may build trees from one
+// net at once. A net whose entries were built or edited by hand, and so
+// lack the parser's node ids, is numbered on a copy first.
 func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 	if units.R == 0 || units.C == 0 || units.L == 0 {
 		return nil, fmt.Errorf("spef: invalid units %+v", units)
+	}
+	if !n.hasIDs() {
+		n = n.withIDs()
 	}
 	driver, err := n.driverPin()
 	if err != nil {
@@ -40,18 +48,84 @@ func (n *Net) Tree(units Units) (*rlctree.Tree, error) {
 	}
 	b := builderPool.Get().(*treeBuilder)
 	defer b.release()
-	return b.build(n, driver, units)
+	return b.build(n, driver.id, units)
 }
 
-// treeBuilder holds the transient state of one Net.Tree call: node names
-// interned to dense int32 ids, CSR adjacency over the *RES branches, and
-// the breadth-first emission of the tree's arrays. Builders are pooled,
-// so a streaming run allocates little beyond the trees themselves.
+// withIDs returns a copy of a net built or edited by hand whose entries
+// carry the ids of their node names, leaving n untouched.
+func (n *Net) withIDs() *Net {
+	m := *n
+	m.Conns, m.Caps = slices.Clone(n.Conns), slices.Clone(n.Caps)
+	m.Ress, m.Inducs = slices.Clone(n.Ress), slices.Clone(n.Inducs)
+	m.assignIDs()
+	return &m
+}
+
+// assignIDs numbers the nodes of a net built by hand in order of first
+// reference, through the table the parser uses, and writes the ids into
+// its entries.
+func (n *Net) assignIDs() {
+	var names intern.Table
+	names.Reset(0)
+	n.nodes = nil // a fresh name table; a copied net must not append to the original's
+	id := func(name string) int32 {
+		id, seen := intern.ID(&names, n.nodes, name)
+		if !seen {
+			n.nodes = append(n.nodes, name)
+		}
+		return id
+	}
+	for i := range n.Conns {
+		n.Conns[i].id = id(n.Conns[i].Pin)
+	}
+	for i := range n.Caps {
+		n.Caps[i].id = id(n.Caps[i].Node)
+	}
+	for _, brs := range [2][]Branch{n.Ress, n.Inducs} {
+		for i := range brs {
+			brs[i].a, brs[i].b = id(brs[i].A), id(brs[i].B)
+		}
+	}
+}
+
+// hasIDs reports whether every entry's id names its node in the name
+// table.
+func (n *Net) hasIDs() bool {
+	for i := range n.Conns {
+		if !n.named(n.Conns[i].id, n.Conns[i].Pin) {
+			return false
+		}
+	}
+	for i := range n.Caps {
+		if !n.named(n.Caps[i].id, n.Caps[i].Node) {
+			return false
+		}
+	}
+	for _, brs := range [2][]Branch{n.Ress, n.Inducs} {
+		for i := range brs {
+			if !n.named(brs[i].a, brs[i].A) || !n.named(brs[i].b, brs[i].B) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// named reports whether id names node name in the name table.
+func (n *Net) named(id int32, name string) bool {
+	return uint32(id) < uint32(len(n.nodes)) && n.nodes[id] == name
+}
+
+// treeBuilder holds the transient state of one Net.Tree call: the net's
+// node ids renumbered to the tree's order, CSR adjacency over the *RES
+// branches, and the breadth-first emission of the tree's arrays. Builders
+// are pooled, so a streaming run allocates nothing beyond the trees
+// themselves.
 type treeBuilder struct {
-	ids   map[string]int32 // node name → id; *RES nodes first, in order of appearance
-	nodes []string         // id → node name
-	ends  []int32          // endpoint ids of *RES branch i at [2i], [2i+1]
-	off   []int32          // node v's neighbours are adj[off[v]:off[v+1]]
+	local []int32  // net node id → tree id, -1 until numbered
+	nodes []string // tree id → node name; *RES nodes first, in order of appearance
+	ends  []int32  // endpoint ids of *RES branch i at [2i], [2i+1]
+	off   []int32  // node v's neighbours are adj[off[v]:off[v+1]]
 	adj   []halfEdge
 	lres  []float64 // summed *INDUC value per *RES branch, file units
 	caps  []float64 // summed *CAP value per node id, file units
@@ -73,28 +147,26 @@ type halfEdge struct {
 // unseen marks a node the BFS has not reached.
 const unseen = -2
 
-var builderPool = sync.Pool{New: func() any {
-	return &treeBuilder{ids: make(map[string]int32)}
-}}
+var builderPool = sync.Pool{New: func() any { return new(treeBuilder) }}
 
 func (b *treeBuilder) release() {
-	clear(b.ids)
 	clear(b.nodes) // drop the name references
 	clear(b.names)
-	b.nodes, b.names, b.caps = b.nodes[:0], b.names[:0], b.caps[:0]
+	b.nodes, b.names = b.nodes[:0], b.names[:0]
 	builderPool.Put(b)
 }
 
-// intern returns the id of node name, assigning the next one if new.
-func (b *treeBuilder) intern(name string) int32 {
-	if id, ok := b.ids[name]; ok {
-		return id
+// number returns the tree id of the net's node id, numbering the node
+// on first sight.
+func (b *treeBuilder) number(n *Net, id int32) int32 {
+	if v := b.local[id]; v >= 0 {
+		return v
 	}
-	id := int32(len(b.nodes))
-	b.ids[name] = id
-	b.nodes = append(b.nodes, name)
+	v := int32(len(b.nodes))
+	b.local[id] = v
+	b.nodes = append(b.nodes, n.nodes[id])
 	b.caps = append(b.caps, 0)
-	return id
+	return v
 }
 
 // topoErrf reports a net that is not a driver-rooted tree.
@@ -102,15 +174,21 @@ func topoErrf(format string, args ...any) error {
 	return guard.Newf(guard.ErrTopology, treeOp, format, args...)
 }
 
-func (b *treeBuilder) build(n *Net, driver string, units Units) (*rlctree.Tree, error) {
-	// Intern the *RES endpoints; ids [0, nres) are exactly the nodes that
-	// have branches.
+func (b *treeBuilder) build(n *Net, driver int32, units Units) (*rlctree.Tree, error) {
+	// Renumber with an array pass over the net's ids: the *RES endpoints
+	// first, so tree ids [0, nres) are exactly the nodes that have
+	// branches.
+	b.local = resize(b.local, len(n.nodes))
+	for i := range b.local {
+		b.local[i] = -1
+	}
+	b.caps = b.caps[:0]
 	b.ends = b.ends[:0]
 	for i, br := range n.Ress {
-		if br.A == br.B {
+		if br.a == br.b {
 			return nil, topoErrf("spef: net %q: resistor %d is a self-loop at %q", n.Name, i+1, br.A)
 		}
-		b.ends = append(b.ends, b.intern(br.A), b.intern(br.B))
+		b.ends = append(b.ends, b.number(n, br.a), b.number(n, br.b))
 	}
 	nres := int32(len(b.nodes))
 	b.buildCSR(int(nres))
@@ -118,8 +196,8 @@ func (b *treeBuilder) build(n *Net, driver string, units Units) (*rlctree.Tree, 
 	// Sum each *INDUC into every *RES branch between the same node pair.
 	b.lres = resize(b.lres, len(n.Ress))
 	clear(b.lres)
-	for _, ind := range n.Inducs {
-		if !b.addInduc(ind) {
+	for i := range n.Inducs {
+		if ind := &n.Inducs[i]; !b.addInduc(ind) {
 			lo, hi := ind.A, ind.B
 			if hi < lo {
 				lo, hi = hi, lo
@@ -133,9 +211,9 @@ func (b *treeBuilder) build(n *Net, driver string, units Units) (*rlctree.Tree, 
 	// Capacitance-only nodes, then the driver if still unseen, follow the
 	// *RES nodes: ids >= nres have no branches.
 	for _, c := range n.Caps {
-		b.caps[b.intern(c.Node)] += c.Value
+		b.caps[b.number(n, c.id)] += c.Value
 	}
-	drv := b.intern(driver)
+	drv := b.number(n, driver)
 
 	reached := b.emit(n, drv, nres, units)
 	t, err := rlctree.FromArrays(b.names, b.parent, b.r, b.l, b.c)
@@ -144,7 +222,7 @@ func (b *treeBuilder) build(n *Net, driver string, units Units) (*rlctree.Tree, 
 	}
 	for v := int32(0); v < nres; v++ {
 		if b.sec[v] == unseen {
-			return nil, topoErrf("spef: net %q: node %q is not connected to the driver %q", n.Name, b.nodes[v], driver)
+			return nil, topoErrf("spef: net %q: node %q is not connected to the driver %q", n.Name, b.nodes[v], b.nodes[drv])
 		}
 	}
 	for v := nres; v < int32(len(b.nodes)); v++ {
@@ -200,13 +278,13 @@ func (b *treeBuilder) sortByName(es []halfEdge) {
 }
 
 // addInduc adds one *INDUC value to the inductance of every *RES branch
-// between its two nodes and reports whether there was one. It searches
-// the name-sorted neighbour range of the endpoint with fewer neighbours.
-func (b *treeBuilder) addInduc(ind Branch) bool {
-	u, ok1 := b.ids[ind.A]
-	w, ok2 := b.ids[ind.B]
-	if !ok1 || !ok2 {
-		return false
+// between its two nodes and reports whether there was one. It binary
+// searches the name-sorted neighbour range of the endpoint with fewer
+// neighbours, where the branches to the other endpoint are adjacent.
+func (b *treeBuilder) addInduc(ind *Branch) bool {
+	u, w := b.local[ind.a], b.local[ind.b]
+	if u < 0 || w < 0 {
+		return false // only *RES nodes are numbered yet
 	}
 	if b.off[u+1]-b.off[u] > b.off[w+1]-b.off[w] {
 		u, w = w, u
@@ -278,24 +356,29 @@ func resize[T any](s []T, n int) []T {
 }
 
 // driverPin returns the unique driving pin of the net.
-func (n *Net) driverPin() (string, error) {
-	var outs, bidis []string
+func (n *Net) driverPin() (Conn, error) {
+	var out, bidi Conn
+	outs, bidis := 0, 0
 	for _, c := range n.Conns {
 		switch c.Dir {
 		case DirOutput:
-			outs = append(outs, c.Pin)
+			if outs++; outs == 1 {
+				out = c
+			}
 		case DirBidir:
-			bidis = append(bidis, c.Pin)
+			if bidis++; bidis == 1 {
+				bidi = c
+			}
 		}
 	}
 	switch {
-	case len(outs) == 1:
-		return outs[0], nil
-	case len(outs) > 1:
-		return "", fmt.Errorf("spef: net %q has %d driving pins; RLC trees have a single source", n.Name, len(outs))
-	case len(bidis) == 1:
-		return bidis[0], nil
+	case outs == 1:
+		return out, nil
+	case outs > 1:
+		return Conn{}, fmt.Errorf("spef: net %q has %d driving pins; RLC trees have a single source", n.Name, outs)
+	case bidis == 1:
+		return bidi, nil
 	default:
-		return "", fmt.Errorf("spef: net %q has no driving pin (*CONN direction O)", n.Name)
+		return Conn{}, fmt.Errorf("spef: net %q has no driving pin (*CONN direction O)", n.Name)
 	}
 }

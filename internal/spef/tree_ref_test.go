@@ -18,10 +18,11 @@ func refTree(n *Net, units Units) (*rlctree.Tree, error) {
 	if units.R == 0 || units.C == 0 || units.L == 0 {
 		return nil, fmt.Errorf("spef: invalid units %+v", units)
 	}
-	driver, err := n.driverPin()
+	drv, err := n.driverPin()
 	if err != nil {
 		return nil, err
 	}
+	driver := drv.Pin
 	type edge struct {
 		other string
 		r, l  float64

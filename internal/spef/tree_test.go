@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"eedtree/internal/guard"
@@ -191,5 +193,83 @@ func BenchmarkNetTree(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTreeWideFanoutMatchesReference: *INDUC entries between two hubs of
+// growing fanout, split and unmatched, build the reference twin's tree or
+// fail with its message.
+func TestTreeWideFanoutMatchesReference(t *testing.T) {
+	for _, fanout := range []int{7, 8, 30} {
+		var b strings.Builder
+		b.WriteString("*CONN\n*I hubA O\n*RES\n1 hubA hubB 3\n")
+		for k := 0; k < fanout; k++ {
+			fmt.Fprintf(&b, "%d hubA a%02d 1\n%d hubB b%02d 2\n", 2*k+2, fanout-k, 2*k+3, k)
+		}
+		b.WriteString("*INDUC\n1 hubB hubA 0.25\n2 a01 hubA 0.5\n3 hubA hubB 0.125\n")
+		for _, tail := range []string{"", "4 hubB a01 1\n"} {
+			net := mkNet(t, b.String()+tail)
+			got, gerr := net.Tree(DefaultUnits)
+			want, werr := refTree(net, DefaultUnits)
+			if err := sameTreeResult(got, gerr, want, werr); err != nil {
+				t.Fatalf("fanout %d, tail %q: %v", fanout, tail, err)
+			}
+		}
+	}
+}
+
+// TestTreeConcurrentOnOneNet: Tree only reads its net, so goroutines may
+// build trees from one net at once — a net from FromTree, and a parsed
+// net edited by hand so that its entries no longer match their ids. Run
+// it under -race; without -race it still checks that the edited net is
+// left as it was.
+func TestTreeConcurrentOnOneNet(t *testing.T) {
+	parsed := mkNet(t, randomNetBody(rand.New(rand.NewSource(2)), 50, false))
+	src, err := parsed.Tree(DefaultUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FromTree(src, "n", "drv", DefaultUnits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Nets[0].hasIDs() {
+		t.Fatal("FromTree built a net without node ids")
+	}
+	edited := mkNet(t, randomNetBody(rand.New(rand.NewSource(3)), 50, false))
+	edited.Caps = append(edited.Caps, Cap{Node: edited.Ress[0].B, Value: 0.5})
+	edited.Ress[1].Value *= 2
+	if edited.hasIDs() {
+		t.Fatal("setup: the edited net still carries matching ids")
+	}
+	before := slices.Clone(edited.nodes)
+	for _, net := range []*Net{f.Nets[0], edited} {
+		want, werr := refTree(net, DefaultUnits)
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 20 {
+					got, gerr := net.Tree(DefaultUnits)
+					if errs[g] = sameTreeResult(got, gerr, want, werr); errs[g] != nil {
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("net %q: %v", net.Name, err)
+			}
+		}
+	}
+	if !slices.Equal(edited.nodes, before) {
+		t.Fatalf("Tree wrote the edited net's name table")
+	}
+	if edited.Caps[len(edited.Caps)-1].id != 0 {
+		t.Fatalf("Tree wrote an id into the edited net")
 	}
 }
