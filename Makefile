@@ -74,13 +74,14 @@ bench-save:
 # service-bench: record the delay-service load benchmark (the PR 6
 # headline numbers) as BENCH_PR6.json and BENCH_PR6.txt: per-operation
 # latency percentiles and total throughput of an in-process eedd under a
-# mixed point-query / sweep / edit stream, with the warm point-query p50
-# asserted under 1ms on the 64-segment example net.
+# mixed point-query / sweep / edit stream, every payload checked against
+# direct core analysis, with the warm point-query p50 gated under 1ms on
+# the 64-segment example net.
 LOADTIME ?= 30s
 LOADCONC ?= 8
 service-bench:
 	$(GO) run ./cmd/eedload -net examples/nets/line64.tree -d $(LOADTIME) -c $(LOADCONC) \
-		-mix delay=90,analyze=4,edit=4,batch=2 -out BENCH_PR6 -assert-warm-p50 1ms
+		-mix delay=90,analyze=4,edit=4,batch=2 -out BENCH_PR6 -p50-gate 1ms
 	@echo "wrote BENCH_PR6.json and BENCH_PR6.txt"
 
 # obs-check: the observability overhead gate (GUIDE.md §10). Runs the
@@ -91,10 +92,11 @@ service-bench:
 # stay within the same budget of the instrumented run.
 obs-check:
 	$(GO) test -run=NONE -bench='BenchmarkAnalyzeTreeParallel$$|BenchmarkAnalyzeTreeParallelBaseline$$' \
-		-benchtime=$(BENCHTIME) -count=$(OBSCOUNT) -json . | $(GO) run ./cmd/obscheck -max $(OBSMAX)
+		-benchtime=$(BENCHTIME) -count=$(OBSCOUNT) -json . | \
+		$(GO) run ./cmd/bench2text -overhead BenchmarkAnalyzeTreeParallel -baseline BenchmarkAnalyzeTreeParallelBaseline -max $(OBSMAX)
 	$(GO) test -run=NONE -bench='BenchmarkAnalyzeTreeParallel$$|BenchmarkAnalyzeTreeParallelFlightArmed$$' \
 		-benchtime=$(BENCHTIME) -count=$(OBSCOUNT) -json . | \
-		$(GO) run ./cmd/obscheck -bench BenchmarkAnalyzeTreeParallelFlightArmed -baseline BenchmarkAnalyzeTreeParallel -max $(OBSMAX)
+		$(GO) run ./cmd/bench2text -overhead BenchmarkAnalyzeTreeParallelFlightArmed -baseline BenchmarkAnalyzeTreeParallel -max $(OBSMAX)
 
 # fault-check: the fault-injection overhead gate (GUIDE.md §13). The
 # dormant-armed query benchmark (a plan is Active but every point has
@@ -103,20 +105,21 @@ obs-check:
 fault-check:
 	$(GO) test -run=NONE -bench='BenchmarkSessionQuery$$|BenchmarkSessionQueryFaultsArmed$$' \
 		-benchtime=$(BENCHTIME) -count=$(OBSCOUNT) -json ./internal/engine/ | \
-		$(GO) run ./cmd/obscheck -bench BenchmarkSessionQueryFaultsArmed -baseline BenchmarkSessionQuery -max $(OBSMAX)
+		$(GO) run ./cmd/bench2text -overhead BenchmarkSessionQueryFaultsArmed -baseline BenchmarkSessionQuery -max $(OBSMAX)
 
 # chaos-soak: the resilience gate (the PR 7 headline numbers). Builds a
-# real eedd, then drives it through the eedchaos fault schedule — stalls,
+# real eedd, then drives it through eedload's chaos schedule — stalls,
 # panics, dropped connections, eviction storms, queue timeouts, numeric
-# faults, and SIGTERM/restart cycles — asserting zero bit-incorrect
+# faults, and a SIGTERM/restart cycle — asserting zero bit-incorrect
 # payloads against direct core analysis, a bounded error budget, and
-# post-fault warm-p50 recovery. Writes BENCH_PR7.json and BENCH_PR7.txt.
+# post-fault warm-p50 recovery. A quarter of the ops are edits. Writes
+# BENCH_PR7.json and BENCH_PR7.txt.
 CHAOSTIME ?= 30s
 CHAOSCONC ?= 8
 chaos-soak:
 	$(GO) build -o eedd ./cmd/eedd/
-	$(GO) run ./cmd/eedchaos -eedd ./eedd -net examples/nets/line64.tree \
-		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 -out BENCH_PR7 \
+	$(GO) run ./cmd/eedload -chaos -eedd ./eedd -net examples/nets/line64.tree \
+		-d $(CHAOSTIME) -c $(CHAOSCONC) -seed 7 -mix delay=60,analyze=15,edit=25 -out BENCH_PR7 \
 		-budget 1.0 -p50-gate 5ms -recover-within 5s
 	@echo "wrote BENCH_PR7.json and BENCH_PR7.txt"
 

@@ -19,6 +19,18 @@
 //
 // This is how the repository's committed BENCH_PR<n> artifacts are read
 // against each other across PRs without needing benchstat installed.
+//
+// With -overhead, bench2text is an overhead gate: it reads a test2json
+// stream of a paired benchmark run on stdin, compares the median ns/op
+// of the benchmark against its baseline twin, and exits non-zero when
+// the overhead exceeds -max percent:
+//
+//	go test -run=NONE -bench 'BenchmarkAnalyzeTreeParallel$|BenchmarkAnalyzeTreeParallelBaseline$' \
+//	    -count=5 -json . | bench2text -overhead BenchmarkAnalyzeTreeParallel \
+//	    -baseline BenchmarkAnalyzeTreeParallelBaseline -max 2
+//
+// Medians across -count runs keep one noisy sample from failing the
+// gate; `make obs-check` and `make fault-check` wire it up.
 package main
 
 import (
@@ -44,15 +56,25 @@ type event struct {
 func main() {
 	compareMode := flag.Bool("compare", false,
 		"compare two saved baselines: bench2text -compare old.json new.json")
+	overheadOf := flag.String("overhead", "", "gate this benchmark's median ns/op against -baseline (test2json on stdin)")
+	base := flag.String("baseline", "", "baseline benchmark of the -overhead gate")
+	maxPct := flag.Float64("max", 2.0, "maximum tolerated -overhead, percent")
 	flag.Parse()
 	var err error
-	if *compareMode {
+	switch {
+	case *compareMode:
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: bench2text -compare old.json new.json")
 			os.Exit(2)
 		}
 		err = compareFiles(flag.Arg(0), flag.Arg(1), os.Stdout)
-	} else {
+	case *overheadOf != "":
+		if *base == "" || flag.NArg() != 0 {
+			fmt.Fprintln(os.Stderr, "usage: bench2text -overhead <bench> -baseline <bench> [-max pct] < test2json")
+			os.Exit(2)
+		}
+		err = overhead(os.Stdin, os.Stdout, *overheadOf, *base, *maxPct)
+	default:
 		err = convert(os.Stdin, os.Stdout)
 	}
 	if err != nil {
@@ -92,20 +114,30 @@ func compareFiles(oldPath, newPath string, w io.Writer) error {
 	return tw.Flush()
 }
 
-// benchSamples extracts ns/op samples per benchmark name (the -procs
-// suffix stripped, so baselines from different GOMAXPROCS line up) from a
-// saved test2json stream.
+// benchSamples extracts ns/op samples per benchmark name from a saved
+// test2json stream.
 func benchSamples(path string) (map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	samples, err := readSamples(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return samples, nil
+}
+
+// readSamples extracts ns/op samples per benchmark name (the -procs
+// suffix stripped, so runs at different GOMAXPROCS line up) from a
+// test2json stream.
+func readSamples(r io.Reader) (map[string][]float64, error) {
 	// Reuse the benchstat distillation, which already reassembles result
 	// lines test2json split across events, then parse its text output.
 	var text strings.Builder
-	if err := convert(f, &text); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := convert(r, &text); err != nil {
+		return nil, err
 	}
 	samples := make(map[string][]float64)
 	for _, line := range strings.Split(text.String(), "\n") {
@@ -118,7 +150,7 @@ func benchSamples(path string) (map[string][]float64, error) {
 			if fields[i] == "ns/op" {
 				v, err := strconv.ParseFloat(fields[i-1], 64)
 				if err != nil {
-					return nil, fmt.Errorf("%s: bad ns/op in %q: %w", path, line, err)
+					return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
 				}
 				nsOp = v
 				break
@@ -136,9 +168,36 @@ func benchSamples(path string) (map[string][]float64, error) {
 		samples[name] = append(samples[name], nsOp)
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark results found", path)
+		return nil, fmt.Errorf("no benchmark results found")
 	}
 	return samples, nil
+}
+
+// overhead compares the median ns/op of instr against base in a
+// test2json stream and fails when instr is more than maxPct percent
+// slower.
+func overhead(r io.Reader, w io.Writer, instr, base string, maxPct float64) error {
+	samples, err := readSamples(r)
+	if err != nil {
+		return err
+	}
+	for _, name := range []string{instr, base} {
+		if len(samples[name]) == 0 {
+			return fmt.Errorf("no samples for %s", name)
+		}
+	}
+	iv, bv := samples[instr], samples[base]
+	im, bm := median(iv), median(bv)
+	if bm <= 0 {
+		return fmt.Errorf("nonsense baseline median %g ns/op", bm)
+	}
+	pct := 100 * (im - bm) / bm
+	fmt.Fprintf(w, "bench2text: %s median %.0f ns/op, %s median %.0f ns/op, overhead %+.2f%% (budget %.2f%%, %d+%d samples)\n",
+		instr, im, base, bm, pct, maxPct, len(iv), len(bv))
+	if pct > maxPct {
+		return fmt.Errorf("overhead %.2f%% exceeds the %.2f%% budget", pct, maxPct)
+	}
+	return nil
 }
 
 // median of the samples; the mean of the central pair for even counts,

@@ -149,3 +149,86 @@ func TestCompareFilesErrors(t *testing.T) {
 		t.Fatal("missing file must error")
 	}
 }
+
+// splitStream builds a test2json event stream from benchmark output
+// lines, splitting each line across two events the way test2json does
+// (name flushed first, timings later).
+func splitStream(t *testing.T, lines ...string) string {
+	t.Helper()
+	var sb strings.Builder
+	enc := json.NewEncoder(&sb)
+	for _, line := range lines {
+		i := len(line) / 2
+		for _, chunk := range []string{line[:i], line[i:] + "\n"} {
+			if err := enc.Encode(event{Action: "output", Output: chunk}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return sb.String()
+}
+
+func TestOverheadWithinBudget(t *testing.T) {
+	in := splitStream(t,
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40400000 ns/op\t      2465 ns/section",
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40100000 ns/op\t      2447 ns/section",
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40900000 ns/op\t      2496 ns/section",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40000000 ns/op\t      2441 ns/section",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  39800000 ns/op\t      2429 ns/section",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40200000 ns/op\t      2453 ns/section",
+	)
+	var out strings.Builder
+	err := overhead(strings.NewReader(in), &out,
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 2.0)
+	if err != nil {
+		t.Fatalf("1%% overhead must pass a 2%% budget: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "overhead +1.00%") {
+		t.Errorf("report missing overhead figure:\n%s", out.String())
+	}
+}
+
+func TestOverheadOverBudget(t *testing.T) {
+	in := splitStream(t,
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  44000000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40000000 ns/op",
+	)
+	err := overhead(strings.NewReader(in), &strings.Builder{},
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 2.0)
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("10%% overhead must fail a 2%% budget, got %v", err)
+	}
+}
+
+// The median keeps one outlier sample from failing the gate.
+func TestOverheadMedianRobustToOutlier(t *testing.T) {
+	in := splitStream(t,
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40000000 ns/op",
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  40100000 ns/op",
+		"BenchmarkAnalyzeTreeParallel-8         \t      30\t  90000000 ns/op", // GC hiccup
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40000000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  39900000 ns/op",
+		"BenchmarkAnalyzeTreeParallelBaseline-8 \t      30\t  40100000 ns/op",
+	)
+	err := overhead(strings.NewReader(in), &strings.Builder{},
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 2.0)
+	if err != nil {
+		t.Fatalf("median must shrug off one outlier: %v", err)
+	}
+}
+
+func TestOverheadMissingBenchmark(t *testing.T) {
+	in := splitStream(t, "BenchmarkSomethingElse-8 \t 10\t 100 ns/op")
+	err := overhead(strings.NewReader(in), &strings.Builder{},
+		"BenchmarkAnalyzeTreeParallel", "BenchmarkAnalyzeTreeParallelBaseline", 2.0)
+	if err == nil || !strings.Contains(err.Error(), "no samples") {
+		t.Fatalf("missing benchmark must be reported, got %v", err)
+	}
+}
+
+func TestOverheadMalformedJSON(t *testing.T) {
+	err := overhead(strings.NewReader("not json\n"), &strings.Builder{}, "a", "b", 2.0)
+	if err == nil {
+		t.Fatal("malformed input must fail")
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -384,13 +385,31 @@ func (nh *netHasher) sum() uint64 { return nh.h.Sum64() }
 // (1..2×mean−1 sections) with random tree topologies and values in
 // realistic parasitic ranges, fully determined by the seed. It writes
 // plain text through w so the benchmark exercises the real parser on
-// real bytes, not a shortcut into the data structures.
+// real bytes, not a shortcut into the data structures. Each line is
+// appended into one reused buffer (strconv 'g' with precision 6 is the
+// byte-for-byte form of %.6g), so generating a net costs a small share
+// of parsing it.
 func genDesign(ctx context.Context, w io.Writer, nets, meanSections int, seed int64) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	fmt.Fprintf(bw, "*SPEF \"IEEE 1481-1998\"\n*DESIGN \"synth_%d_%d\"\n*DIVIDER /\n*DELIMITER :\n", nets, seed)
 	bw.WriteString("*T_UNIT 1 NS\n*C_UNIT 1 PF\n*R_UNIT 1 OHM\n*L_UNIT 1 NH\n\n")
 	rng := rand.New(rand.NewSource(seed))
 	parents := make([]int, 0, 2*meanSections)
+	hasChild := make([]bool, 0, 2*meanSections)
+	var line []byte
+	// node appends " n<net>:<k>".
+	node := func(i, k int) {
+		line = append(line, " n"...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		line = append(line, ':')
+		line = strconv.AppendInt(line, int64(k), 10)
+	}
+	// value appends " <v>" in %.6g form and ends the line.
+	value := func(v float64) {
+		line = append(line, ' ')
+		line = strconv.AppendFloat(line, v, 'g', 6, 64)
+		line = append(line, '\n')
+	}
 	for i := 0; i < nets; i++ {
 		if i%4096 == 0 {
 			if err := guard.Check(ctx); err != nil {
@@ -401,42 +420,49 @@ func genDesign(ctx context.Context, w io.Writer, nets, meanSections int, seed in
 		// Random tree: node k hangs off a uniformly chosen earlier node.
 		// Node 0 is the driver; names are net-local.
 		parents = parents[:0]
+		hasChild = append(hasChild[:0], make([]bool, size+1)...)
 		for k := 1; k <= size; k++ {
-			parents = append(parents, rng.Intn(k))
+			p := rng.Intn(k)
+			parents = append(parents, p)
+			hasChild[p] = true
 		}
-		fmt.Fprintf(bw, "*D_NET n%d %.6g\n*CONN\n*I n%d:0 O\n", i, float64(size)*0.03, i)
+		line = append(line[:0], "*D_NET n"...)
+		line = strconv.AppendInt(line, int64(i), 10)
+		value(float64(size) * 0.03)
+		line = append(line, "*CONN\n*I"...)
+		node(i, 0)
+		line = append(line, " O\n"...)
 		for k := 1; k <= size; k++ {
-			if len(parentsChildren(parents, k)) == 0 {
-				fmt.Fprintf(bw, "*I n%d:%d I\n", i, k)
+			if !hasChild[k] {
+				line = append(line, "*I"...)
+				node(i, k)
+				line = append(line, " I\n"...)
 			}
 		}
-		bw.WriteString("*CAP\n")
+		line = append(line, "*CAP\n"...)
 		for k := 1; k <= size; k++ {
-			fmt.Fprintf(bw, "%d n%d:%d %.6g\n", k, i, k, 0.005+rng.Float64()*0.05)
+			line = strconv.AppendInt(line, int64(k), 10)
+			node(i, k)
+			value(0.005 + rng.Float64()*0.05)
 		}
-		bw.WriteString("*RES\n")
-		for k := 1; k <= size; k++ {
-			fmt.Fprintf(bw, "%d n%d:%d n%d:%d %.6g\n", k, i, parents[k-1], i, k, 1+rng.Float64()*40)
+		for _, sec := range [...]struct {
+			head       string
+			base, span float64
+		}{{"*RES\n", 1, 40}, {"*INDUC\n", 0.05, 0.5}} {
+			line = append(line, sec.head...)
+			for k := 1; k <= size; k++ {
+				line = strconv.AppendInt(line, int64(k), 10)
+				node(i, parents[k-1])
+				node(i, k)
+				value(sec.base + rng.Float64()*sec.span)
+			}
 		}
-		bw.WriteString("*INDUC\n")
-		for k := 1; k <= size; k++ {
-			fmt.Fprintf(bw, "%d n%d:%d n%d:%d %.6g\n", k, i, parents[k-1], i, k, 0.05+rng.Float64()*0.5)
+		line = append(line, "*END\n"...)
+		if _, err := bw.Write(line); err != nil {
+			return err
 		}
-		bw.WriteString("*END\n")
 	}
 	return bw.Flush()
-}
-
-// parentsChildren returns the children of node k in the parent array
-// (parents[j] is the parent of node j+1).
-func parentsChildren(parents []int, k int) []int {
-	var out []int
-	for j, p := range parents {
-		if p == k {
-			out = append(out, j+1)
-		}
-	}
-	return out
 }
 
 func renderText(r *chipRun) string {

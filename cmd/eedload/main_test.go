@@ -1,17 +1,35 @@
 package main
 
 import (
-	"errors"
-
-	"eedtree/internal/eedclient"
-	"eedtree/internal/faultinj"
-	"eedtree/internal/obs"
+	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"eedtree/internal/eedclient"
+	"eedtree/internal/eedsrv"
+	"eedtree/internal/engine"
+	"eedtree/internal/faultinj"
+	"eedtree/internal/obs"
 )
+
+var line64 = filepath.Join("..", "..", "examples", "nets", "line64.tree")
+
+// loadConfig is a short load-mode run against an in-process server with
+// gates loose enough for the race detector.
+func loadConfig(dur time.Duration, conc int, mix map[string]int) config {
+	return config{
+		netFile: line64, phases: loadPhases, dur: dur, conc: conc, mix: mix, seed: 1,
+		budgetPct: 0, p50Gate: time.Second, recoverWithin: 3 * time.Second,
+	}
+}
 
 func TestParseMix(t *testing.T) {
 	mix, err := parseMix("delay=90,analyze=5,edit=5")
@@ -44,54 +62,94 @@ func TestPct(t *testing.T) {
 	}
 }
 
-// TestShortRunInProcess drives the full harness — in-process server,
-// registration, warmup, mixed load, report files — for a fraction of a
-// second and checks the recorded artifacts.
+func TestScheduleFractionsSumToOne(t *testing.T) {
+	total := 0.0
+	for _, ph := range schedule(1) {
+		total += ph.Frac
+		if ph.Spec != "" {
+			if _, err := faultinj.Parse(ph.Spec); err != nil {
+				t.Fatalf("phase %s spec %q: %v", ph.Name, ph.Spec, err)
+			}
+		}
+	}
+	if total < 0.999 || total > 1.001 {
+		t.Fatalf("phase fractions sum to %v, want 1", total)
+	}
+	if (config{phases: loadPhases}).chaos() || !(config{phases: schedule(1)}).chaos() {
+		t.Fatal("only the fault schedule may switch on chaos mode")
+	}
+}
+
+func TestSameResultIsBitExact(t *testing.T) {
+	f := 1.25e-9
+	g := 1.25e-9
+	a := eedsrv.NodeResult{Node: "x", Delay50: f, Zeta: &f}
+	b := eedsrv.NodeResult{Node: "x", Delay50: g, Zeta: &g}
+	if !sameResult(a, b) {
+		t.Fatal("identical results reported unequal")
+	}
+	h := math.Nextafter(g, 1) // one ulp away
+	for name, c := range map[string]eedsrv.NodeResult{
+		"delay_ulp":  {Node: "x", Delay50: h, Zeta: &g},
+		"zeta_ulp":   {Node: "x", Delay50: g, Zeta: &h},
+		"zeta_nil":   {Node: "x", Delay50: g},
+		"other_node": {Node: "y", Delay50: g, Zeta: &g},
+		"degraded":   {Node: "x", Delay50: g, Zeta: &g, Degraded: true},
+	} {
+		if sameResult(a, c) {
+			t.Fatalf("%s: differing results reported equal", name)
+		}
+	}
+}
+
+// TestShortRunInProcess drives the load mode — in-process server,
+// registration, warmup, mixed load, oracle checks — for a fraction of a
+// second and checks the report.
 func TestShortRunInProcess(t *testing.T) {
-	netFile := filepath.Join("..", "..", "examples", "nets", "line64.tree")
-	mix := map[string]int{"delay": 8, "analyze": 1, "edit": 1, "batch": 1}
-	report, err := run(netFile, "", 300*time.Millisecond, 4, mix, 0)
+	rep, err := run(loadConfig(300*time.Millisecond, 4, map[string]int{"delay": 8, "analyze": 1, "edit": 1, "batch": 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Sections != 64 || !report.InProcess {
-		t.Fatalf("report header = %+v", report)
+	if rep.Sections != 64 || rep.Target != "in-process" || rep.Chaos {
+		t.Fatalf("report header = %+v", rep)
 	}
-	if report.TotalErrors != 0 {
-		t.Fatalf("%d errors under clean load", report.TotalErrors)
+	if rep.TotalErrors != 0 || rep.Mismatches != 0 || len(rep.GateFailures) != 0 {
+		t.Fatalf("clean load: %d errors, %d mismatches, gates %v", rep.TotalErrors, rep.Mismatches, rep.GateFailures)
 	}
-	if report.TotalRequests == 0 || report.Throughput <= 0 {
-		t.Fatalf("no load recorded: %+v", report)
+	if rep.TotalRequests == 0 || rep.Throughput <= 0 || rep.ClientRetries != 0 {
+		t.Fatalf("no load recorded, or a load-mode client retried: %+v", rep)
 	}
-	for _, op := range []string{"delay", "analyze", "edit", "batch"} {
-		st, ok := report.Ops[op]
-		if !ok || st.CountN == 0 {
-			t.Fatalf("op %s missing from the report: %+v", op, report.Ops)
+	for _, op := range opNames {
+		st, ok := rep.Ops[op]
+		if !ok || st.Count == 0 {
+			t.Fatalf("op %s missing from the report: %+v", op, rep.Ops)
 		}
-		if st.P50us <= 0 || st.P99us < st.P50us || st.Maxus < st.P99us {
+		if st.P50us <= 0 || st.P99us < st.P50us || st.MaxUs < st.P99us {
 			t.Fatalf("op %s: implausible percentiles %+v", op, st)
 		}
 	}
 
 	// The report serializes and round-trips.
-	js, err := json.Marshal(report)
+	js, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back benchReport
+	var back report
 	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.TotalRequests != report.TotalRequests {
+	if back.TotalRequests != rep.TotalRequests {
 		t.Fatal("report did not round-trip")
 	}
-	if txt := renderText(report); len(txt) == 0 {
-		t.Fatal("empty text report")
+	if txt := renderText(rep); !strings.Contains(txt, "verdict: PASS") {
+		t.Fatalf("text report:\n%s", txt)
 	}
 }
 
 func TestRunRejectsMissingNet(t *testing.T) {
-	if _, err := run(filepath.Join(t.TempDir(), "nope.tree"), "", time.Second, 1, map[string]int{"delay": 1}, 0); err == nil {
+	cfg := loadConfig(time.Second, 1, map[string]int{"delay": 1})
+	cfg.netFile = filepath.Join(t.TempDir(), "nope.tree")
+	if _, err := run(cfg); err == nil {
 		t.Fatal("missing net file should error")
 	}
 	if _, err := os.Stat("BENCH_PR6.json"); err == nil {
@@ -99,55 +157,128 @@ func TestRunRejectsMissingNet(t *testing.T) {
 	}
 }
 
-// TestErrorClassBreakdown checks the per-guard-class error tally the
-// report satellites expose: classes come from the typed client error.
+// TestErrorClassBreakdown checks the per-class error tally: classes come
+// from the typed client error, a breaker refusal first.
 func TestErrorClassBreakdown(t *testing.T) {
-	wk, err := newWorker("http://127.0.0.1:0", 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Now()
-	wk.record("delay", t0, nil)
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 422, Class: "numeric"})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 503, Class: "draining"})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Status: 502})
-	wk.record("delay", t0, &eedclient.Error{Op: "delay", Err: eedclient.ErrBreakerOpen})
-	wk.record("delay", t0, errors.New("plain transport failure"))
-	if len(wk.lat["delay"]) != 1 || wk.errs["delay"] != 5 {
-		t.Fatalf("lat=%d errs=%d", len(wk.lat["delay"]), wk.errs["delay"])
+	var tl tally
+	tl.record(time.Microsecond, nil)
+	tl.record(0, &eedclient.Error{Op: "delay", Status: 422, Class: "numeric"})
+	tl.record(0, &eedclient.Error{Op: "delay", Status: 503, Class: "draining"})
+	tl.record(0, &eedclient.Error{Op: "delay", Status: 502})
+	tl.record(0, &eedclient.Error{Op: "delay", Status: 503, Class: "draining", Err: eedclient.ErrBreakerOpen})
+	tl.record(0, errors.New("plain transport failure"))
+	if len(tl.lat) != 1 || tl.errs != 5 {
+		t.Fatalf("lat=%d errs=%d", len(tl.lat), tl.errs)
 	}
 	want := map[string]int{"numeric": 1, "draining": 1, "http_502": 1, "breaker_open": 1, "transport": 1}
 	for cls, n := range want {
-		if wk.byClass["delay"][cls] != n {
-			t.Fatalf("class %s = %d, want %d (all: %v)", cls, wk.byClass["delay"][cls], n, wk.byClass["delay"])
+		if tl.byClass[cls] != n {
+			t.Fatalf("class %s = %d, want %d (all: %v)", cls, tl.byClass[cls], n, tl.byClass)
 		}
 	}
 }
 
-// TestShortRunWithRetriesUnderFaults drives the harness in retry mode
-// against an in-process server with a low-rate injected queue timeout:
-// the client's Retry-After-aware loop should absorb every injected
-// rejection, leaving a clean report with a nonzero retry count.
+// TestShortRunWithRetriesUnderFaults runs a one-phase fault schedule, a
+// low-rate injected queue timeout, against an in-process server: the
+// chaos-mode client's Retry-After-aware loop should absorb every
+// injected rejection, leaving a clean report with a nonzero retry count.
 func TestShortRunWithRetriesUnderFaults(t *testing.T) {
-	plan, err := faultinj.Parse("seed=3;srv.queue_timeout:p=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	faultinj.Activate(plan)
 	t.Cleanup(faultinj.Deactivate)
-	netFile := filepath.Join("..", "..", "examples", "nets", "line64.tree")
-	mix := map[string]int{"delay": 8, "edit": 2}
-	report, err := run(netFile, "", 300*time.Millisecond, 4, mix, 3)
+	cfg := loadConfig(500*time.Millisecond, 4, map[string]int{"delay": 8, "edit": 2})
+	cfg.phases = []phase{{Name: "queue_timeout", Frac: 1, Spec: "seed=3;srv.queue_timeout:p=0.05"}}
+	rep, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faultinj.Fired(faultinj.SrvQueueTimeout) == 0 {
-		t.Skip("fault never fired in this short run")
+	if !rep.Chaos || rep.ClientRetries == 0 {
+		t.Fatalf("faults armed but the client never retried:\n%s", renderText(rep))
 	}
-	if report.TotalRetries == 0 {
-		t.Fatal("faults fired but the client never retried")
+	if rep.TotalErrors != 0 || rep.Recovered != 0 || rep.Mismatches != 0 {
+		t.Fatalf("retry loop leaked %d errors (%d healed by the harness), %d mismatches:\n%s",
+			rep.TotalErrors+rep.Recovered, rep.Recovered, rep.Mismatches, renderText(rep))
 	}
-	if report.TotalErrors != 0 {
-		t.Fatalf("retry loop leaked %d errors: %+v", report.TotalErrors, report.Ops)
+}
+
+// TestShortSoakInProcess runs the full chaos schedule — every fault
+// family plus a listener-bounce restart — compressed into ~2.5s against
+// an in-process server, and requires every gate to pass.
+func TestShortSoakInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak takes ~3s")
+	}
+	t.Cleanup(faultinj.Deactivate)
+	rep, err := run(config{
+		netFile:       line64,
+		phases:        schedule(7),
+		dur:           2500 * time.Millisecond,
+		conc:          4,
+		mix:           map[string]int{"delay": 60, "analyze": 15, "edit": 25},
+		seed:          7,
+		budgetPct:     5, // short runs amplify per-op noise; CI soaks use 1
+		p50Gate:       10 * time.Millisecond,
+		recoverWithin: 3 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Mismatches != 0 {
+		t.Fatalf("bit-incorrect payloads: %d (first: %s)", rep.Mismatches, rep.MismatchSample)
+	}
+	if len(rep.GateFailures) > 0 {
+		t.Fatalf("gates failed: %v\n%s", rep.GateFailures, renderText(rep))
+	}
+	if rep.TotalRequests == 0 || len(rep.Phases) != 7 || rep.Recovery == nil {
+		t.Fatalf("soak did not run: %+v", rep)
+	}
+	// The fault phases actually exercised the client's resilience.
+	if rep.ClientRetries == 0 && rep.Recovered == 0 {
+		t.Fatalf("no retries and no recoveries — faults never bit:\n%s", renderText(rep))
+	}
+	if txt := renderText(rep); !strings.Contains(txt, "recovery: warm p50") {
+		t.Fatalf("text report:\n%s", txt)
+	}
+}
+
+// TestCorruptPayloadFailsGate points a load-mode run at a server whose
+// point-query answers are one ulp off: the oracle must catch it and the
+// mismatch gate must fail the run.
+func TestCorruptPayloadFailsGate(t *testing.T) {
+	real := eedsrv.New(eedsrv.Options{Engine: engine.New(engine.Options{})}).Handler()
+	corrupt := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/delay" {
+			real.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		real.ServeHTTP(rec, r)
+		var resp eedsrv.DelayResponse
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			return
+		}
+		resp.Result.Delay50 = math.Nextafter(resp.Result.Delay50, math.Inf(1))
+		var body bytes.Buffer
+		json.NewEncoder(&body).Encode(resp)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body.Bytes())
+	})
+	ts := httptest.NewServer(corrupt)
+	defer ts.Close()
+
+	cfg := loadConfig(200*time.Millisecond, 2, map[string]int{"delay": 1})
+	cfg.addr = ts.URL
+	rep, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Target != "remote" || rep.TotalErrors != 0 || rep.Mismatches == 0 {
+		t.Fatalf("target %s, %d errors, %d mismatches; want remote, 0, >0", rep.Target, rep.TotalErrors, rep.Mismatches)
+	}
+	if len(rep.GateFailures) != 1 || !strings.Contains(rep.GateFailures[0], "bit-incorrect payloads") {
+		t.Fatalf("gate failures %v, want the mismatch gate alone", rep.GateFailures)
+	}
+	if txt := renderText(rep); !strings.Contains(txt, "verdict: FAIL") {
+		t.Fatalf("text report:\n%s", txt)
 	}
 }

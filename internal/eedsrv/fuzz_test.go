@@ -43,6 +43,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(4, `{"tree": "a - 1 1n 1f", "edits": [{"node": "a", "elem": "C", "value": 2e-15}], "node": "a"}`)
 	f.Add(4, `{"tree": "a - 1 1n 1f", "edits": [{"node": "a", "elem": "R", "value": -1}], "node": "a"}`)
 	f.Add(4, `{"tree": "a - 1 1n 1f", "edits": [{"node": "a", "elem": "L", "value": 1e308}], "node": "a"}`)
+	f.Add(4, `{"tree": "a - 1 0 0", "edits": [{"node": "a", "elem": "C", "value": 1e308}], "node": "a"}`)
 	f.Add(0, `{"tree": 42}`)
 	f.Add(1, `{"node":`)
 	f.Add(1, `{"node": "x"} trailing`)

@@ -227,18 +227,30 @@ func (s *Server) Registry() *engine.Registry { return s.reg }
 // completion — pair it with http.Server.Shutdown, which waits for them.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Inflight returns the number of analysis requests currently executing.
 func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
-// writeJSON writes v with the given status.
+// writeJSON writes v with the given status. A value JSON cannot carry,
+// such as a rise time 2.2·R·C that overflowed to +Inf, becomes a numeric
+// error: the encoder writes nothing when it fails, and the status is
+// committed only with the first byte.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	if err := json.NewEncoder(statusOnWrite{w, status}).Encode(v); err != nil {
+		writeError(w, guard.Newf(guard.ErrNumeric, "eedsrv", "result not representable in JSON: %v", err))
+	}
+}
+
+// statusOnWrite commits its status with the first Write; json.Encoder
+// writes each document in one Write.
+type statusOnWrite struct {
+	w      http.ResponseWriter
+	status int
+}
+
+func (s statusOnWrite) Write(b []byte) (int, error) {
+	s.w.WriteHeader(s.status)
+	return s.w.Write(b)
 }
 
 // writeError renders err as the JSON error body with its mapped status.

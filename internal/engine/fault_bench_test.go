@@ -10,9 +10,9 @@ import (
 // Twin benchmarks backing `make fault-check`: the armed twin runs the
 // identical workload with a fault plan active whose only rule has p=0,
 // so every Fire call walks the full decision path (plan load, rule
-// lookup, arrival counter, hash draw) without ever firing. obscheck
-// compares the two medians; a regression means the injection hooks
-// leaked cost onto the hot path.
+// lookup, arrival counter, hash draw) without ever firing.
+// `bench2text -overhead` compares the two medians; a regression means
+// the injection hooks leaked cost onto the hot path.
 
 func benchSessionQuery(b *testing.B) {
 	tree, err := rlctree.Line("b", 512, rlctree.SectionValues{R: 25, L: 1e-9, C: 50e-15})

@@ -173,31 +173,46 @@ type RepeaterPlan struct {
 // same authors: inductance reduces the optimal number of repeaters
 // relative to the RC-only prediction.
 func InsertRepeaters(line LineSpec, rep Repeater, maxK int, sizeMin, sizeMax float64) (RepeaterPlan, error) {
-	if err := line.validate(); err != nil {
+	plans, err := repeaterSweep(line, rep, maxK, sizeMin, sizeMax)
+	if err != nil {
 		return RepeaterPlan{}, err
-	}
-	if err := rep.validate(); err != nil {
-		return RepeaterPlan{}, err
-	}
-	if maxK < 1 {
-		return RepeaterPlan{}, fmt.Errorf("opt: maxK must be ≥ 1, got %d", maxK)
-	}
-	if !(sizeMin > 0) || !(sizeMax > sizeMin) {
-		return RepeaterPlan{}, fmt.Errorf("opt: need 0 < sizeMin < sizeMax, got [%g, %g]", sizeMin, sizeMax)
 	}
 	best := RepeaterPlan{TotalDelay: math.Inf(1)}
-	for k := 1; k <= maxK; k++ {
-		stage, err := stageObjective(line, rep, k, sizeMin)
-		if err != nil {
-			return RepeaterPlan{}, err
-		}
-		size, sd := goldenSection(stage, sizeMin, sizeMax, 1e-6)
-		total := float64(k) * sd
-		if total < best.TotalDelay {
-			best = RepeaterPlan{K: k, Size: size, StageDelay: sd, TotalDelay: total}
+	for _, p := range plans {
+		if p.TotalDelay < best.TotalDelay {
+			best = p
 		}
 	}
 	return best, nil
+}
+
+// repeaterSweep sizes every uniform k-stage split of the line for
+// minimum stage delay, k = 1..maxK, one golden-section search over
+// [sizeMin, sizeMax] per k. InsertRepeaters takes the first delay
+// minimum of the result; RepeaterPareto prices every entry.
+func repeaterSweep(line LineSpec, rep Repeater, maxK int, sizeMin, sizeMax float64) ([]RepeaterPlan, error) {
+	if err := line.validate(); err != nil {
+		return nil, err
+	}
+	if err := rep.validate(); err != nil {
+		return nil, err
+	}
+	if maxK < 1 {
+		return nil, fmt.Errorf("opt: maxK must be ≥ 1, got %d", maxK)
+	}
+	if !(sizeMin > 0) || !(sizeMax > sizeMin) {
+		return nil, fmt.Errorf("opt: need 0 < sizeMin < sizeMax, got [%g, %g]", sizeMin, sizeMax)
+	}
+	plans := make([]RepeaterPlan, 0, maxK)
+	for k := 1; k <= maxK; k++ {
+		stage, err := stageObjective(line, rep, k, sizeMin)
+		if err != nil {
+			return nil, err
+		}
+		size, sd := goldenSection(stage, sizeMin, sizeMax, 1e-6)
+		plans = append(plans, RepeaterPlan{K: k, Size: size, StageDelay: sd, TotalDelay: float64(k) * sd})
+	}
+	return plans, nil
 }
 
 // WireModel maps a segment width to its electrical values:

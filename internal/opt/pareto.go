@@ -29,34 +29,21 @@ func SwitchingEnergy(line LineSpec, rep Repeater, k int, size, vdd float64) floa
 // delay, and returns every point with its switching energy and Pareto
 // flag (points not dominated in both delay and energy).
 func RepeaterPareto(line LineSpec, rep Repeater, maxK int, sizeMin, sizeMax, vdd float64) ([]RepeaterPoint, error) {
-	if err := line.validate(); err != nil {
-		return nil, err
-	}
-	if err := rep.validate(); err != nil {
-		return nil, err
-	}
-	if maxK < 1 {
-		return nil, fmt.Errorf("opt: maxK must be ≥ 1, got %d", maxK)
-	}
-	if !(sizeMin > 0) || !(sizeMax > sizeMin) {
-		return nil, fmt.Errorf("opt: need 0 < sizeMin < sizeMax, got [%g, %g]", sizeMin, sizeMax)
-	}
 	if !(vdd > 0) {
 		return nil, fmt.Errorf("opt: vdd must be positive, got %g", vdd)
 	}
-	points := make([]RepeaterPoint, 0, maxK)
-	for k := 1; k <= maxK; k++ {
-		stage, err := stageObjective(line, rep, k, sizeMin)
-		if err != nil {
-			return nil, err
+	plans, err := repeaterSweep(line, rep, maxK, sizeMin, sizeMax)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]RepeaterPoint, len(plans))
+	for i, p := range plans {
+		points[i] = RepeaterPoint{
+			K:          p.K,
+			Size:       p.Size,
+			TotalDelay: p.TotalDelay,
+			Energy:     SwitchingEnergy(line, rep, p.K, p.Size, vdd),
 		}
-		size, sd := goldenSection(stage, sizeMin, sizeMax, 1e-6)
-		points = append(points, RepeaterPoint{
-			K:          k,
-			Size:       size,
-			TotalDelay: float64(k) * sd,
-			Energy:     SwitchingEnergy(line, rep, k, size, vdd),
-		})
 	}
 	// Pareto flags: a point is dominated if another is ≤ in both metrics
 	// and < in at least one.

@@ -84,3 +84,44 @@ func TestRepeaterParetoFront(t *testing.T) {
 		t.Fatalf("degenerate front with %d points", front)
 	}
 }
+
+// TestInsertRepeatersIsSweepArgmin: InsertRepeaters and RepeaterPareto
+// run one sweep; the plan is its first TotalDelay minimum, bit for bit,
+// and the Pareto points carry the same K, size and delay per entry.
+func TestInsertRepeatersIsSweepArgmin(t *testing.T) {
+	rcLine := testLine
+	rcLine.L = 0
+	for _, line := range []LineSpec{testLine, rcLine} {
+		plans, err := repeaterSweep(line, testRep, 10, 0.5, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := 0
+		for i, p := range plans {
+			if p.TotalDelay < plans[best].TotalDelay {
+				best = i
+			}
+		}
+		plan, err := InsertRepeaters(line, testRep, 10, 0.5, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := plans[best]
+		if plan.K != want.K || math.Float64bits(plan.Size) != math.Float64bits(want.Size) ||
+			math.Float64bits(plan.StageDelay) != math.Float64bits(want.StageDelay) ||
+			math.Float64bits(plan.TotalDelay) != math.Float64bits(want.TotalDelay) {
+			t.Fatalf("InsertRepeaters = %+v, sweep argmin = %+v", plan, want)
+		}
+		points, err := RepeaterPareto(line, testRep, 10, 0.5, 300, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range points {
+			p := plans[i]
+			if pt.K != p.K || math.Float64bits(pt.Size) != math.Float64bits(p.Size) ||
+				math.Float64bits(pt.TotalDelay) != math.Float64bits(p.TotalDelay) {
+				t.Fatalf("point %d = %+v, sweep = %+v", i, pt, p)
+			}
+		}
+	}
+}
